@@ -21,10 +21,7 @@ func ablate(b *testing.B, mutate func(*world.Scenario)) *core.ContactSet {
 	if mutate != nil {
 		mutate(&scn)
 	}
-	tr, err := world.Collect(scn, core.PaperTau)
-	if err != nil {
-		b.Fatal(err)
-	}
+	tr := collectTrace(b, scn)
 	cs, err := core.ExtractContacts(tr, core.BluetoothRange)
 	if err != nil {
 		b.Fatal(err)

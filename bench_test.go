@@ -299,10 +299,7 @@ func BenchmarkX3_MobilityBaselines(b *testing.B) {
 		for _, model := range []world.Model{world.RandomWaypoint, world.LevyWalk} {
 			scn := world.BaselineScenario(model, benchSeed)
 			scn.Duration = 2 * 3600
-			tr, err := world.Collect(scn, core.PaperTau)
-			if err != nil {
-				b.Fatal(err)
-			}
+			tr := collectTrace(b, scn)
 			cs, err := core.ExtractContacts(tr, core.BluetoothRange)
 			if err != nil {
 				b.Fatal(err)
@@ -347,10 +344,7 @@ func BenchmarkPipelineBatch24hApfel(b *testing.B) {
 	b.ResetTimer()
 	var end uint64
 	for i := 0; i < b.N; i++ {
-		tr, err := world.Collect(scn, core.PaperTau)
-		if err != nil {
-			b.Fatal(err)
-		}
+		tr := collectTrace(b, scn)
 		an, err := core.Analyze(tr, core.Config{})
 		if err != nil {
 			b.Fatal(err)
@@ -474,10 +468,7 @@ func BenchmarkP3EstateAnalysisParallel(b *testing.B) {
 func BenchmarkX4_SensorVsCrawler(b *testing.B) {
 	scn := world.ApfelLand(benchSeed)
 	scn.Duration = 2 * 3600
-	truth, err := world.Collect(scn, core.PaperTau)
-	if err != nil {
-		b.Fatal(err)
-	}
+	truth := collectTrace(b, scn)
 	b.ResetTimer()
 	var sensorTrace *trace.Trace
 	var st sensor.Stats
@@ -501,7 +492,10 @@ func BenchmarkX4_SensorVsCrawler(b *testing.B) {
 			sim.Step()
 			engine.Step(sim.Time(), sim)
 		}
-		sensorTrace = collector.Trace(scn.Land.Name, core.PaperTau)
+		sensorTrace, err = trace.Collect(context.Background(), collector.Source(scn.Land.Name, core.PaperTau), "", 0)
+		if err != nil {
+			b.Fatal(err)
+		}
 		st = engine.Stats()
 	}
 	b.StopTimer()

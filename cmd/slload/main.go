@@ -47,7 +47,6 @@ func main() {
 		seed       = flag.Uint64("seed", 1, "self-hosted simulation seed")
 		duration   = flag.Int64("duration", 0, "self-hosted estate duration in sim seconds (0: preset default)")
 		warp       = flag.Float64("warp", 600, "self-hosted clock rate")
-		simWorkers = flag.Int("sim-workers", 0, "self-hosted parallel region stepping: goroutines per tick (0 or 1: serial)")
 		window     = flag.Int64("window", 600, "self-hosted analysis window in sim seconds")
 		observers  = flag.Int("observers", 64, "observer sessions subscribed to map pushes")
 		avatars    = flag.Int("avatars", 0, "in-world avatar sessions on whole-land coarse pushes")
@@ -76,7 +75,6 @@ func main() {
 		Seed:        *seed,
 		SimDuration: *duration,
 		Warp:        *warp,
-		SimWorkers:  *simWorkers,
 		Window:      *window,
 		Observers:   *observers,
 		Avatars:     *avatars,
@@ -119,8 +117,8 @@ func main() {
 	}
 	if rep.TickIntervals > 0 {
 		fmt.Fprintf(os.Stderr,
-			"slload:   ticks: %d workers, %d intervals / %d steps, mean %.3fms max %.3fms (budget %.3fms), %d over budget\n",
-			rep.SimWorkers, rep.TickIntervals, rep.TickSteps,
+			"slload:   ticks: %d intervals / %d steps, mean %.3fms max %.3fms (budget %.3fms), %d over budget\n",
+			rep.TickIntervals, rep.TickSteps,
 			rep.TickMeanMs, rep.TickMaxMs, rep.TickBudgetMs, rep.TickOverBudget)
 	}
 	if rep.ServerFaults > 0 {

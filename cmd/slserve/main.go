@@ -35,7 +35,6 @@ func main() {
 		estate   = flag.String("estate", "paper", "estate preset: paper (1x3), mainland (4x4), or city (8x8)")
 		addr     = flag.String("addr", "127.0.0.1:7700", "directory endpoint listen address")
 		warp     = flag.Float64("warp", 600, "simulated seconds per wall second")
-		workers  = flag.Int("sim-workers", 0, "step regions concurrently on this many goroutines per tick (0 or 1: serial; never changes results)")
 		seed     = flag.Uint64("seed", 1, "simulation seed")
 		duration = flag.Int64("duration", 0, "estate duration in sim seconds (0: preset default)")
 		password = flag.String("password", "", "require this password for logins and peer links")
@@ -59,9 +58,6 @@ func main() {
 	}
 	if *duration > 0 {
 		cfg.Duration = *duration
-	}
-	if *workers > 0 {
-		cfg.SimWorkers = *workers
 	}
 
 	srv, err := server.NewEstate(server.EstateConfig{
@@ -102,7 +98,7 @@ func main() {
 	fmt.Printf("slserve: stopped at sim time %d — %d crossings, %d teleports, %d blocked handoffs\n",
 		srv.SimTime(), srv.Crossings(), srv.Teleports(), srv.BlockedHandoffs())
 	if ts := srv.TickStats(); ts.Intervals > 0 {
-		fmt.Printf("slserve: ticks — %d workers, %d intervals / %d steps, max %s, %d over the %s budget\n",
-			srv.StepWorkers(), ts.Intervals, ts.Steps, ts.Max.Round(time.Microsecond), ts.OverBudget, ts.Budget)
+		fmt.Printf("slserve: ticks — %d intervals / %d steps, max %s, %d over the %s budget\n",
+			ts.Intervals, ts.Steps, ts.Max.Round(time.Microsecond), ts.OverBudget, ts.Budget)
 	}
 }

@@ -18,6 +18,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -66,24 +67,25 @@ func main() {
 	}
 	scn.Duration = *duration
 
-	srv, err := server.New(server.Config{
-		Addr:     *addr,
-		Scenario: scn,
-		Warp:     *warp,
-		Password: *password,
+	// A single land is a 1×1 estate; its one region listens on -addr.
+	srv, err := server.NewEstate(server.EstateConfig{
+		Estate:      world.SingleRegionEstate(scn),
+		RegionAddrs: []string{*addr},
+		Warp:        *warp,
+		Password:    *password,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("slsim: hosting %q (%s land, cap %d) on %s, warp %gx, duration %ds\n",
 		scn.Land.Name, scn.Land.Kind, scn.Land.EffectiveMaxAvatars(),
-		srv.Addr(), *warp, scn.Duration)
-	fmt.Printf("slsim: a full day takes %s of wall clock\n",
+		srv.RegionAddr(0), *warp, scn.Duration)
+	fmt.Printf("slsim: the %ds scenario takes %s of wall clock\n", scn.Duration,
 		time.Duration(float64(scn.Duration)/(*warp)*float64(time.Second)).Round(time.Second))
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	if err := srv.Run(ctx); err != nil && ctx.Err() == nil {
+	if err := srv.Run(ctx); err != nil && ctx.Err() == nil && !errors.Is(err, server.ErrDurationReached) {
 		log.Printf("slsim: %v", err)
 	}
 	fmt.Printf("slsim: stopped at sim time %d\n", srv.SimTime())

@@ -185,10 +185,7 @@ func TestOptionValidation(t *testing.T) {
 		t.Error("default zone size produced no zone samples")
 	}
 
-	tr, err := CollectTrace(scn, PaperTau)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := collectTrace(t, scn)
 	if _, err := AnalyzeStream(ctx, TraceSource(tr), WithTau(-10)); err == nil {
 		t.Error("AnalyzeStream accepted negative tau")
 	}
@@ -202,7 +199,7 @@ func TestOptionValidation(t *testing.T) {
 	if _, err := AnalyzeStream(ctx, TraceSource(tr)); err == nil {
 		t.Error("AnalyzeStream accepted malformed size metadata")
 	}
-	if _, err := Analyze(tr); err == nil {
+	if _, err := core.Analyze(tr, core.Config{}); err == nil {
 		t.Error("Analyze accepted malformed size metadata")
 	}
 	delete(tr.Meta, "size")

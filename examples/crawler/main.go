@@ -1,5 +1,5 @@
 // Crawler example: the full networked measurement path of the paper. It
-// starts a region server hosting Isle of View under a heavy time warp,
+// serves Isle of View as a 1×1 estate under a heavy time warp,
 // connects the mimicking crawler over TCP, collects a one-hour trace at
 // τ = 10 s from coarse map pushes, and analyses it — all in one process,
 // but over a real socket.
@@ -15,28 +15,23 @@ import (
 
 	"slmob"
 	"slmob/internal/crawler"
-	"slmob/internal/server"
 )
 
 func main() {
 	scn := slmob.IsleOfView(7)
 	scn.Duration = 86400
 
-	srv, err := server.New(server.Config{
-		Addr:     "127.0.0.1:0",
-		Scenario: scn,
-		Warp:     1200, // one sim hour ≈ 3 wall seconds
-	})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	svc, err := slmob.ServeEstate(ctx, slmob.SingleRegionEstate(scn),
+		slmob.WithWarp(1200)) // one sim hour ≈ 3 wall seconds
 	if err != nil {
 		log.Fatal(err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go func() { _ = srv.Run(ctx) }()
-	fmt.Printf("region server hosting %q on %s (warp 1200x)\n", scn.Land.Name, srv.Addr())
+	fmt.Printf("region server hosting %q on %s (warp 1200x)\n", scn.Land.Name, svc.RegionAddr(0))
 
 	cr, err := crawler.New(crawler.Config{
-		Addr:     srv.Addr(),
+		Addr:     svc.RegionAddr(0),
 		Name:     "paper-crawler",
 		Tau:      slmob.PaperTau,
 		Duration: 3600,
@@ -62,4 +57,7 @@ func main() {
 	cs := an.Contacts[slmob.BluetoothRange]
 	fmt.Printf("from the wire (1 m coarse map): median CT %.0fs, ICT %.0fs over %d pairs\n",
 		cs.CT.Median(), cs.ICT.Median(), cs.Pairs)
+	if err := svc.Stop(); err != nil {
+		log.Fatal(err)
+	}
 }

@@ -118,10 +118,7 @@ func goldenScenario() Scenario {
 // full analysis and compares every digest against the pinned values.
 func TestGoldenTraceAnalysisPinned(t *testing.T) {
 	if *updateGolden {
-		tr, err := CollectTrace(goldenScenario(), PaperTau)
-		if err != nil {
-			t.Fatal(err)
-		}
+		tr := collectTrace(t, goldenScenario())
 		if err := WriteTraceFile(tr, goldenTracePath); err != nil {
 			t.Fatal(err)
 		}
@@ -343,10 +340,7 @@ func TestGoldenCheckpointResume(t *testing.T) {
 // code it is meant to watch. (After an intentional model change, run
 // `go test -run TestGolden -update .` and commit both files.)
 func TestGoldenTraceMatchesSimulation(t *testing.T) {
-	tr, err := CollectTrace(goldenScenario(), PaperTau)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := collectTrace(t, goldenScenario())
 	disk, err := ReadTraceFile(goldenTracePath)
 	if err != nil {
 		t.Fatal(err)

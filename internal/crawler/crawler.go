@@ -221,18 +221,6 @@ func (s *Source) Next(ctx context.Context) (trace.Snapshot, error) {
 	}
 }
 
-// Run subscribes to map pushes and assembles the trace until Duration
-// simulated seconds have been observed or the context is cancelled, then
-// closes the connection. On early termination the partial trace is
-// returned alongside the error.
-//
-// Deprecated: Run materialises the whole crawl; stream through Source
-// instead when the consumer is incremental.
-func (c *Crawler) Run(ctx context.Context) (*trace.Trace, error) {
-	defer c.client.Close()
-	return trace.Collect(ctx, c.Source(), "", 0)
-}
-
 // randomPoint picks a uniformly random ground position on the land, the
 // paper's "randomly moves over the target land".
 func (c *Crawler) randomPoint() geom.Vec {

@@ -1,6 +1,7 @@
 package dtn
 
 import (
+	"context"
 	"testing"
 
 	"slmob/internal/geom"
@@ -13,7 +14,11 @@ func denseTrace(t *testing.T, seed uint64) *trace.Trace {
 	t.Helper()
 	scn := world.DanceIsland(seed)
 	scn.Duration = 3600
-	tr, err := world.Collect(scn, 10)
+	src, err := world.NewSource(scn, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := trace.Collect(context.Background(), src, "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}

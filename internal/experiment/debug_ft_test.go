@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"sort"
@@ -19,7 +20,11 @@ func TestDebugApfelFT(t *testing.T) {
 	}
 	scn := world.ApfelLand(1)
 	scn.Duration = 6 * 3600
-	tr, err := world.Collect(scn, 10)
+	src, err := world.NewSource(scn, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := trace.Collect(context.Background(), src, "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}

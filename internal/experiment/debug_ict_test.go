@@ -1,12 +1,14 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"sort"
 	"testing"
 
 	"slmob/internal/core"
+	"slmob/internal/trace"
 	"slmob/internal/world"
 )
 
@@ -18,7 +20,11 @@ func TestDebugDanceICT(t *testing.T) {
 	}
 	scn := world.DanceIsland(1)
 	scn.Duration = 8 * 3600
-	tr, err := world.Collect(scn, 10)
+	src, err := world.NewSource(scn, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := trace.Collect(context.Background(), src, "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,10 +37,6 @@ type Config struct {
 	SimDuration int64
 	// Warp is the self-hosted clock rate (default 600).
 	Warp float64
-	// SimWorkers steps the self-hosted estate's regions concurrently on
-	// that many goroutines per tick (0 or 1: serial). Worker count never
-	// changes simulation results, only tick wall time.
-	SimWorkers int
 	// Window is the self-hosted analysis window (default 600).
 	Window int64
 	// Observers, Avatars, AOIAvatars, and Readers size the client mix:
@@ -173,12 +169,10 @@ type Report struct {
 	FinalDigest string `json:"final_digest,omitempty"`
 
 	// Tick-loop timing from a self-hosted estate's serving loop:
-	// resolved worker count, ticker intervals fired, simulation steps
-	// run, mean and worst-case wall time per interval, the per-interval
-	// budget, and how many intervals overran it — TickOverBudget is the
-	// number the parallel-tick smoke gate requires to stay zero (the
-	// warped clock never falling behind real time).
-	SimWorkers     int     `json:"sim_workers,omitempty"`
+	// ticker intervals fired, simulation steps run, mean and worst-case
+	// wall time per interval, the per-interval budget, and how many
+	// intervals overran it — TickOverBudget is the number the tick-pace
+	// smoke gate bounds (the warped clock falling behind real time).
 	TickIntervals  int64   `json:"tick_intervals,omitempty"`
 	TickSteps      int64   `json:"tick_steps,omitempty"`
 	TickMeanMs     float64 `json:"tick_mean_ms,omitempty"`
@@ -248,8 +242,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		svc, err = slmob.ServeEstate(ctx, est,
 			slmob.WithWarp(cfg.Warp), slmob.WithTickEvery(cfg.TickEvery),
 			slmob.WithWindow(cfg.Window), slmob.WithQueryAddr("127.0.0.1:0"),
-			slmob.WithHeldClock(), slmob.WithServePassword(cfg.Password),
-			slmob.WithSimWorkers(cfg.SimWorkers))
+			slmob.WithHeldClock(), slmob.WithServePassword(cfg.Password))
 		if err != nil {
 			return nil, err
 		}
@@ -521,7 +514,6 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	// clock ever fell behind its budget.
 	if svc != nil {
 		ts := svc.TickStats()
-		rep.SimWorkers = svc.StepWorkers()
 		rep.TickIntervals = ts.Intervals
 		rep.TickSteps = ts.Steps
 		rep.TickMaxMs = float64(ts.Max.Microseconds()) / 1000.0

@@ -132,19 +132,6 @@ func (s *Source) Next(ctx context.Context) (trace.Snapshot, error) {
 	return snap, nil
 }
 
-// Trace assembles the merged readings into a mobility trace with the
-// given nominal snapshot period.
-//
-// Deprecated: Trace materialises every reading at once; stream through
-// Source instead when the consumer is incremental.
-func (c *Collector) Trace(land string, tau int64) *trace.Trace {
-	tr, err := trace.Collect(context.Background(), c.Source(land, tau), "", 0)
-	if err != nil {
-		panic(err) // unreachable: source times are sorted unique
-	}
-	return tr
-}
-
 // GridSpecs lays out an n x n sensor grid covering the land, the
 // deployment pattern a measurement campaign would use. With range 96 m a
 // 4x4 grid fully covers a 256 m land.

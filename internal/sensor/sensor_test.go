@@ -2,14 +2,26 @@ package sensor
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 
 	"slmob/internal/geom"
+	"slmob/internal/trace"
 	"slmob/internal/world"
 )
+
+// collect materialises the readings merged so far as a trace.
+func collect(t *testing.T, col *Collector, land string, tau int64) *trace.Trace {
+	t.Helper()
+	tr, err := trace.Collect(context.Background(), col.Source(land, tau), "", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
 
 func publicScenario(seed uint64) world.Scenario {
 	scn := world.ApfelLand(seed) // public land, ObjectLifetime 7200
@@ -208,7 +220,7 @@ func TestCollectorHTTPIngestion(t *testing.T) {
 	if col.Flushes() != 1 {
 		t.Errorf("flushes = %d", col.Flushes())
 	}
-	tr := col.Trace("Apfel Land", 10)
+	tr := collect(t, col, "Apfel Land", 10)
 	if len(tr.Snapshots) != 2 {
 		t.Fatalf("snapshots = %d", len(tr.Snapshots))
 	}
@@ -263,7 +275,7 @@ func TestEndToEndSensorTraceOverHTTP(t *testing.T) {
 		e.Step(sim.Time(), sim)
 	}
 	e.Wait()
-	tr := col.Trace(scn.Land.Name, 10)
+	tr := collect(t, col, scn.Land.Name, 10)
 	if tr.UniqueUsers() == 0 {
 		t.Fatalf("sensor network observed nobody: stats %+v", e.Stats())
 	}

@@ -25,7 +25,7 @@ func TestSlowSubscriberDoesNotStallClock(t *testing.T) {
 	srv, cancel := startServer(t, testScenario(31, 86400), 5000)
 	defer cancel()
 
-	conn, err := net.Dial("tcp", srv.Addr())
+	conn, err := net.Dial("tcp", srv.RegionAddr(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestSlowSubscriberDoesNotStallClock(t *testing.T) {
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		srv.mu.Lock()
-		n := len(srv.host.sessions)
+		n := len(srv.hosts[0].sessions)
 		srv.mu.Unlock()
 		if n == 0 {
 			break
@@ -79,7 +79,7 @@ func TestRelayChatClosesWedgedSession(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := newLandHostSim(&mu, &closed, sim, "127.0.0.1:0", 1, "")
+	h, err := newLandHost(&mu, &closed, sim, "127.0.0.1:0", 1, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,17 +175,16 @@ func TestPeerTransferAckTimeout(t *testing.T) {
 	}
 }
 
-// TestSingleLandAnalyticsQuery runs a single-land server with the
-// analytics endpoint enabled through a full (warped) measurement and
-// exercises the query lifecycle: empty reply before the first window,
-// sealed cumulative/window/stats after the run, with region 0 carrying
-// the full per-land analysis (network metrics included) and the global
-// view the estate-style merge.
+// TestSingleLandAnalyticsQuery runs a single land, hosted as a 1×1
+// estate, with the analytics endpoint enabled through a full (warped)
+// measurement and exercises the query lifecycle: empty reply before the
+// first window, sealed cumulative/window/stats after the run, with
+// region 0 carrying the full per-land analysis (network metrics
+// included) and the global view the estate-style merge.
 func TestSingleLandAnalyticsQuery(t *testing.T) {
 	scn := testScenario(5, 1800)
-	srv, err := New(Config{
-		Addr:      "127.0.0.1:0",
-		Scenario:  scn,
+	srv, err := NewEstate(EstateConfig{
+		Estate:    world.SingleRegionEstate(scn),
 		Warp:      5000,
 		TickEvery: time.Millisecond,
 		Analytics: AnalyticsConfig{Addr: "127.0.0.1:0", Window: 600},

@@ -94,13 +94,6 @@ type EstateServer struct {
 	// by mu; the cond shares it).
 	routing tickRouting
 
-	// Hoisted per-host fanout closures for the post-step serving phase,
-	// plus their arguments; only the tick goroutine touches them.
-	hostJob    func(i int)
-	sampleJob  func(i int)
-	hostNow    int64
-	sampleTick *trace.EstateTick
-
 	dirLn net.Listener
 
 	tickMu sync.Mutex
@@ -175,10 +168,6 @@ func (s *EstateServer) TickStats() TickStats {
 	st.Budget = s.cfg.TickEvery
 	return st
 }
-
-// StepWorkers reports how many goroutines step regions concurrently
-// each tick (1 when the estate runs its serial loop).
-func (s *EstateServer) StepWorkers() int { return s.est.StepWorkers() }
 
 // recordTick folds one ticker interval's stepping cost into the stats.
 func (s *EstateServer) recordTick(steps int, elapsed time.Duration) {
@@ -255,16 +244,6 @@ func NewEstate(cfg EstateConfig) (*EstateServer, error) {
 	}
 	s.routing.cond = sync.NewCond(&s.mu)
 	s.routing.queues = make(map[int][]int)
-	s.hostJob = func(i int) { s.hosts[i].stepLocked(s.hostNow) }
-	s.sampleJob = func(i int) {
-		h := s.hosts[i]
-		states := h.sim.ResidentStates(nil)
-		snap := trace.Snapshot{T: s.sampleTick.T, Samples: make([]trace.Sample, len(states))}
-		for j, st := range states {
-			snap.Samples[j] = trace.Sample{ID: st.ID, Pos: st.Pos, Seated: st.Seated}
-		}
-		s.sampleTick.Regions[i] = snap
-	}
 	if !cfg.Hold {
 		close(s.start)
 	}
@@ -280,14 +259,18 @@ func NewEstate(cfg EstateConfig) (*EstateServer, error) {
 		if i < len(cfg.RegionAddrs) && cfg.RegionAddrs[i] != "" {
 			addr = cfg.RegionAddrs[i]
 		}
-		host, err := newLandHostSim(&s.mu, &s.closed, est.Region(i), addr, cfg.Warp, cfg.Password)
+		host, err := newLandHost(&s.mu, &s.closed, est.Region(i), addr, cfg.Warp, cfg.Password)
 		if err != nil {
 			return fail(err)
 		}
 		host.defaultAOI = cfg.AOIRadius
-		region := i
-		host.onPeer = func(conn net.Conn, hello slp.PeerHello) {
-			s.servePeer(region, conn)
+		// A lone region has no peers, so it opens no transfer-link
+		// surface: PeerHello is refused with ErrNotEstate.
+		if est.NumRegions() > 1 {
+			region := i
+			host.onPeer = func(conn net.Conn, hello slp.PeerHello) {
+				s.servePeer(region, conn)
+			}
 		}
 		s.hosts = append(s.hosts, host)
 	}
@@ -504,21 +487,12 @@ func (s *EstateServer) Run(ctx context.Context) error {
 }
 
 // step advances the shared clock by one second: every region simulation
-// ticks under the lock (fanned across the estate's step pool when one
-// is configured), then the tick's cross-region handoffs are routed over
-// the inter-server links — frames issued concurrently per link, acks
-// resolved in the migration sweep's slice order — and finally the
+// ticks under the lock, then the tick's cross-region handoffs are routed
+// over the inter-server links — frames issued concurrently per link,
+// acks resolved in the migration sweep's slice order — and finally the
 // post-step serving phase runs: sensors scan, each host materialises
 // its map snapshot, and due subscription pushes go out, after all
 // handoffs settled.
-//
-// The serving phase fans out per host on the same pool. Each host's
-// snapshot, sensors, and sessions are its own; enqueueRaw is the only
-// sink and never blocks (drop-slow-consumer), so push enqueueing is
-// naturally sharded by region — one slow region's frame encoding no
-// longer serialises the other 63. The estate lock is held by this
-// goroutine for the whole fanout and Pool.Run is a barrier, so every
-// other accessor of host state still sees the lock-ordered world.
 func (s *EstateServer) step() (bool, error) {
 	s.mu.Lock()
 	transfers := s.est.StepPending()
@@ -532,21 +506,25 @@ func (s *EstateServer) step() (bool, error) {
 
 	s.mu.Lock()
 	now := s.est.Time()
-	pool := s.est.StepPool()
-	s.hostNow = now
-	pool.Run(len(s.hosts), s.hostJob)
+	for _, h := range s.hosts {
+		h.stepLocked(now)
+	}
 	// Sample for analytics under the lock — after handoffs settled, the
 	// same instant an in-process EstateSource would observe — but hand
 	// the tick to the engine outside it, so analysis can never hold the
-	// clock. Each region samples into its own tick slot, so this fans
-	// out too.
+	// clock.
 	var tick trace.EstateTick
 	sample := s.analytics != nil && now > 0 && now%s.analytics.tau() == 0
 	if sample {
 		tick = trace.EstateTick{T: now, Regions: make([]trace.Snapshot, len(s.hosts))}
-		s.sampleTick = &tick
-		pool.Run(len(s.hosts), s.sampleJob)
-		s.sampleTick = nil
+		for i, h := range s.hosts {
+			states := h.sim.ResidentStates(nil)
+			snap := trace.Snapshot{T: now, Samples: make([]trace.Sample, len(states))}
+			for j, st := range states {
+				snap.Samples[j] = trace.Sample{ID: st.ID, Pos: st.Pos, Seated: st.Seated}
+			}
+			tick.Regions[i] = snap
+		}
 	}
 	s.mu.Unlock()
 	if sample {
@@ -929,7 +907,4 @@ func (s *EstateServer) shutdown() {
 	s.mu.Unlock()
 	s.closeListeners()
 	s.wg.Wait()
-	// All tick work has quiesced; the estate's step workers can park
-	// permanently.
-	s.est.Close()
 }

@@ -126,7 +126,7 @@ func TestMalformedLoginGetsTypedError(t *testing.T) {
 	srv, cancel := startServer(t, scn, 100)
 	defer cancel()
 
-	conn, err := net.Dial("tcp", srv.Addr())
+	conn, err := net.Dial("tcp", srv.RegionAddr(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestMalformedLoginGetsTypedError(t *testing.T) {
 }
 
 // TestPeerLinkAuthentication: transfer links require the estate
-// password, and single-land servers refuse them entirely.
+// password, and the lone region of a 1×1 estate refuses them entirely.
 func TestPeerLinkAuthentication(t *testing.T) {
 	srv := startEstate(t, EstateConfig{
 		Estate: testEstate(6, 86400), Warp: 100, Password: "secret",
@@ -175,12 +175,12 @@ func TestPeerLinkAuthentication(t *testing.T) {
 		t.Fatalf("reply = %#v, want bad-credentials error", msg)
 	}
 
-	// A single-land server is not part of an estate.
+	// A single land hosted as a 1×1 estate has no peers.
 	scn := world.DanceIsland(10)
 	scn.Duration = 86400
 	single, cancel := startServer(t, scn, 100)
 	defer cancel()
-	conn2, err := net.Dial("tcp", single.Addr())
+	conn2, err := net.Dial("tcp", single.RegionAddr(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,5 +243,78 @@ func TestDirectoryEndpoint(t *testing.T) {
 	}
 	if dir.Held {
 		t.Error("directory still reports a held clock after start")
+	}
+}
+
+// TestEstateTickStats: a finished run reports its tick-loop timing.
+func TestEstateTickStats(t *testing.T) {
+	srv, err := NewEstate(EstateConfig{
+		Estate:    testEstate(7, 600),
+		Warp:      4000,
+		TickEvery: time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Run(context.Background()); !errors.Is(err, ErrDurationReached) {
+		t.Fatalf("run = %v", err)
+	}
+	st := srv.TickStats()
+	if st.Intervals == 0 || st.Steps == 0 {
+		t.Fatalf("tick stats empty: %+v", st)
+	}
+	if st.Steps < st.Intervals {
+		t.Errorf("steps %d < intervals %d at warp 4000", st.Steps, st.Intervals)
+	}
+	if st.Max == 0 || st.Total < st.Max {
+		t.Errorf("tick durations inconsistent: total %v max %v", st.Total, st.Max)
+	}
+	if st.Budget != time.Millisecond {
+		t.Errorf("budget = %v, want the configured TickEvery", st.Budget)
+	}
+}
+
+// TestDirectoryConnHeldOpenDoesNotStallShutdown is the regression gate
+// for directory-connection tracking: an idle monitor connection sits in
+// a 30 s read deadline, and Run used to be unable to return until it
+// expired because the serving goroutine was joined on s.wg with nothing
+// closing the socket. Shutdown must close tracked directory
+// connections and return promptly.
+func TestDirectoryConnHeldOpenDoesNotStallShutdown(t *testing.T) {
+	srv, err := NewEstate(EstateConfig{
+		Estate:    testEstate(11, 86400),
+		Warp:      100,
+		TickEvery: time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- srv.Run(ctx) }()
+
+	// A directory client that asks once and then holds the connection
+	// open, idle, like a monitor between polls.
+	conn, err := net.Dial("tcp", srv.DirectoryAddr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := slp.WriteMessage(conn, slp.DirectoryRequest{}); err != nil {
+		t.Fatal(err)
+	}
+	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := slp.ReadMessage(conn); err != nil {
+		t.Fatalf("directory reply: %v", err)
+	}
+
+	cancel()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("run = %v, want context.Canceled", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Run did not return with a directory connection held open")
 	}
 }

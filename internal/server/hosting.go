@@ -16,11 +16,10 @@ import (
 	"slmob/internal/world"
 )
 
-// landHost serves the slp session protocol for one hosted land. The
-// single-land Server owns exactly one; an EstateServer owns one per
-// region, all guarded by the estate-wide lock. The owner supplies the
-// mutex, runs the simulation clock, and calls pushDueLocked after each
-// advance.
+// landHost serves the slp session protocol for one hosted land. An
+// EstateServer owns one per region, all guarded by the estate-wide lock.
+// The owner supplies the mutex, runs the simulation clock, and calls
+// stepLocked after each advance.
 type landHost struct {
 	mu       *sync.Mutex
 	closed   *bool
@@ -42,8 +41,8 @@ type landHost struct {
 	// tick, no matter how many sessions are pushed to.
 	snap mapSnap
 
-	// onPeer, when non-nil, accepts inter-server transfer links (estate
-	// regions only); a single-land host refuses them.
+	// onPeer, when non-nil, accepts inter-server transfer links; the
+	// only region of a 1×1 estate has no peers and refuses them.
 	onPeer func(conn net.Conn, hello slp.PeerHello)
 }
 
@@ -263,15 +262,7 @@ func (sess *session) drain(timeout time.Duration) {
 	}
 }
 
-func newLandHost(mu *sync.Mutex, closed *bool, scn world.Scenario, addr string, warp float64, password string) (*landHost, error) {
-	sim, err := world.NewSim(scn)
-	if err != nil {
-		return nil, err
-	}
-	return newLandHostSim(mu, closed, sim, addr, warp, password)
-}
-
-func newLandHostSim(mu *sync.Mutex, closed *bool, sim *world.Sim, addr string, warp float64, password string) (*landHost, error) {
+func newLandHost(mu *sync.Mutex, closed *bool, sim *world.Sim, addr string, warp float64, password string) (*landHost, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err

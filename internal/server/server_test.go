@@ -9,6 +9,7 @@ import (
 	"slmob/internal/crawler"
 	"slmob/internal/geom"
 	"slmob/internal/slp"
+	"slmob/internal/trace"
 	"slmob/internal/world"
 )
 
@@ -19,12 +20,12 @@ func testScenario(seed uint64, duration int64) world.Scenario {
 	return scn
 }
 
-// startServer launches a server and returns it with a cancel function.
-func startServer(t *testing.T, scn world.Scenario, warp float64) (*Server, context.CancelFunc) {
+// startServer hosts the land as a 1×1 estate and returns it with a
+// cancel function; clients dial RegionAddr(0).
+func startServer(t *testing.T, scn world.Scenario, warp float64) (*EstateServer, context.CancelFunc) {
 	t.Helper()
-	srv, err := New(Config{
-		Addr:      "127.0.0.1:0",
-		Scenario:  scn,
+	srv, err := NewEstate(EstateConfig{
+		Estate:    world.SingleRegionEstate(scn),
 		Warp:      warp,
 		TickEvery: time.Millisecond,
 	})
@@ -50,7 +51,7 @@ func startServer(t *testing.T, scn world.Scenario, warp float64) (*Server, conte
 
 func TestHandshakeAndPing(t *testing.T) {
 	srv, _ := startServer(t, testScenario(1, 86400), 500)
-	c, err := slp.Dial(srv.Addr(), "tester", "", 5*time.Second)
+	c, err := slp.Dial(srv.RegionAddr(0), "tester", "", 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +71,7 @@ func TestHandshakeAndPing(t *testing.T) {
 
 func TestPasswordRequired(t *testing.T) {
 	scn := testScenario(2, 86400)
-	srv, err := New(Config{Addr: "127.0.0.1:0", Scenario: scn, Warp: 100,
+	srv, err := NewEstate(EstateConfig{Estate: world.SingleRegionEstate(scn), Warp: 100,
 		TickEvery: time.Millisecond, Password: "secret"})
 	if err != nil {
 		t.Fatal(err)
@@ -79,10 +80,10 @@ func TestPasswordRequired(t *testing.T) {
 	defer cancel()
 	go func() { _ = srv.Run(ctx) }()
 
-	if _, err := slp.Dial(srv.Addr(), "x", "wrong", 5*time.Second); err == nil {
+	if _, err := slp.Dial(srv.RegionAddr(0), "x", "wrong", 5*time.Second); err == nil {
 		t.Error("bad password accepted")
 	}
-	c, err := slp.Dial(srv.Addr(), "x", "secret", 5*time.Second)
+	c, err := slp.Dial(srv.RegionAddr(0), "x", "secret", 5*time.Second)
 	if err != nil {
 		t.Fatalf("good password rejected: %v", err)
 	}
@@ -91,7 +92,7 @@ func TestPasswordRequired(t *testing.T) {
 
 func TestMapPollReturnsAvatars(t *testing.T) {
 	srv, _ := startServer(t, testScenario(3, 86400), 500)
-	c, err := slp.Dial(srv.Addr(), "tester", "", 5*time.Second)
+	c, err := slp.Dial(srv.RegionAddr(0), "tester", "", 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +125,7 @@ func TestMapPollReturnsAvatars(t *testing.T) {
 
 func TestSubscriptionDeliversPeriodicSnapshots(t *testing.T) {
 	srv, _ := startServer(t, testScenario(4, 86400), 1000)
-	c, err := slp.Dial(srv.Addr(), "tester", "", 5*time.Second)
+	c, err := slp.Dial(srv.RegionAddr(0), "tester", "", 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +155,7 @@ func TestSubscriptionDeliversPeriodicSnapshots(t *testing.T) {
 
 func TestMoveAndChatAccepted(t *testing.T) {
 	srv, _ := startServer(t, testScenario(5, 86400), 500)
-	c, err := slp.Dial(srv.Addr(), "tester", "", 5*time.Second)
+	c, err := slp.Dial(srv.RegionAddr(0), "tester", "", 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +175,7 @@ func TestMoveAndChatAccepted(t *testing.T) {
 func TestObjectPolicyPrivateLandRejects(t *testing.T) {
 	// Dance Island is private: sensor deployment must fail, as in §2.
 	srv, _ := startServer(t, testScenario(6, 86400), 500)
-	c, err := slp.Dial(srv.Addr(), "builder", "", 5*time.Second)
+	c, err := slp.Dial(srv.RegionAddr(0), "builder", "", 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +193,7 @@ func TestObjectPolicyPublicLandExpiry(t *testing.T) {
 	scn := world.ApfelLand(7) // public, ObjectLifetime 7200
 	scn.Duration = 86400
 	srv, _ := startServer(t, scn, 500)
-	c, err := slp.Dial(srv.Addr(), "builder", "", 5*time.Second)
+	c, err := slp.Dial(srv.RegionAddr(0), "builder", "", 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,8 +211,8 @@ func TestObjectPolicyPublicLandExpiry(t *testing.T) {
 	if rep.ExpiresAt == 0 {
 		t.Error("public-land object has no expiry")
 	}
-	if srv.Sensors().ActiveObjects() != 1 {
-		t.Errorf("active objects = %d", srv.Sensors().ActiveObjects())
+	if n := srv.hosts[0].sensors.ActiveObjects(); n != 1 {
+		t.Errorf("active objects = %d", n)
 	}
 }
 
@@ -221,15 +222,16 @@ func TestCrawlerEndToEnd(t *testing.T) {
 	scn := testScenario(8, 86400)
 	srv, _ := startServer(t, scn, 2000)
 	cr, err := crawler.New(crawler.Config{
-		Addr: srv.Addr(), Name: "paper-crawler", Tau: 10,
+		Addr: srv.RegionAddr(0), Name: "paper-crawler", Tau: 10,
 		Duration: 1800, Mimic: true, Seed: 9,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer cr.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	tr, err := cr.Run(ctx)
+	tr, err := trace.Collect(ctx, cr.Source(), "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,12 +262,12 @@ func TestLandFullRejectsLogin(t *testing.T) {
 	scn := testScenario(10, 86400)
 	scn.Land.MaxAvatars = scn.Warmup + 1 // room for exactly one client
 	srv, _ := startServer(t, scn, 100)
-	c1, err := slp.Dial(srv.Addr(), "one", "", 5*time.Second)
+	c1, err := slp.Dial(srv.RegionAddr(0), "one", "", 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c1.Close()
-	if _, err := slp.Dial(srv.Addr(), "two", "", 5*time.Second); err == nil {
+	if _, err := slp.Dial(srv.RegionAddr(0), "two", "", 5*time.Second); err == nil {
 		t.Error("second login accepted on a full land")
 	}
 }
@@ -277,7 +279,7 @@ func TestLandFullRejectsLogin(t *testing.T) {
 // boundary case.
 func TestChatRelayAtMaxLength(t *testing.T) {
 	srv, _ := startServer(t, testScenario(23, 86400), 500)
-	hearer, err := slp.Dial(srv.Addr(), "hearer", "", 5*time.Second)
+	hearer, err := slp.Dial(srv.RegionAddr(0), "hearer", "", 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +291,7 @@ func TestChatRelayAtMaxLength(t *testing.T) {
 	if _, err := hearer.Ping(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	speaker, err := slp.Dial(srv.Addr(), "speaker", "", 5*time.Second)
+	speaker, err := slp.Dial(srv.RegionAddr(0), "speaker", "", 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}

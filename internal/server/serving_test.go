@@ -24,7 +24,7 @@ func newBenchHost(tb testing.TB, seed uint64) (*landHost, *sync.Mutex) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	h, err := newLandHostSim(&mu, &closed, sim, "127.0.0.1:0", 1, "")
+	h, err := newLandHost(&mu, &closed, sim, "127.0.0.1:0", 1, "")
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -152,12 +152,12 @@ func TestAOIPushFiltersByRadius(t *testing.T) {
 // exactly what an unfiltered subscriber sees.
 func TestDeltaSubscriptionMatchesPlain(t *testing.T) {
 	srv, _ := startServer(t, testScenario(13, 300), 1000)
-	plain, err := slp.Dial(srv.Addr(), "plain", "", 5*time.Second)
+	plain, err := slp.Dial(srv.RegionAddr(0), "plain", "", 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer plain.Close()
-	delta, err := slp.Dial(srv.Addr(), "delta", "", 5*time.Second)
+	delta, err := slp.Dial(srv.RegionAddr(0), "delta", "", 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}

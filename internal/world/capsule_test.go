@@ -82,58 +82,79 @@ func TestCapsuleDecodeRejectsGarbage(t *testing.T) {
 // TestStepPendingMatchesStep: driving an estate through the routed
 // transfer path — encode, inject the decoded copy, resolve — must be
 // bit-identical to the in-process Step, tick for tick. This is the
-// in-memory version of the estate server's network handoff loop.
+// in-memory version of the estate server's network handoff loop. The
+// inputs are the Paper Archipelago with raised migration rates and
+// "Hot Borders", a handoff-heavy variant capped just above its warmup
+// population so admissions race capacity: many handoffs are refused,
+// exercising the refuse path and the fact that a resolve at the source
+// frees a slot for a later inject.
 func TestStepPendingMatchesStep(t *testing.T) {
-	cfg := PaperEstate(77)
-	cfg.Duration = 2400
-	cfg.CrossProb = 0.004
-	cfg.TeleportProb = 0.001
+	paper := PaperEstate(77)
+	paper.Duration = 2400
+	paper.CrossProb = 0.004
+	paper.TeleportProb = 0.001
 
-	local, err := NewEstateSim(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	routed, err := NewEstateSim(cfg)
-	if err != nil {
-		t.Fatal(err)
+	hot := PaperEstate(79)
+	hot.Name = "Hot Borders"
+	hot.Duration = 1800
+	hot.CrossProb = 0.05
+	hot.TeleportProb = 0.02
+	for i := range hot.Regions {
+		hot.Regions[i].Land.MaxAvatars = hot.Regions[i].Warmup + 5
 	}
 
-	var bufA, bufB []AvatarState
-	for step := int64(0); step < cfg.Duration; step++ {
-		local.Step()
-		transfers := routed.StepPending()
-		for i, tr := range transfers {
-			accepted, err := routed.Inject(tr)
+	for _, cfg := range []EstateConfig{paper, hot} {
+		t.Run(cfg.Name, func(t *testing.T) {
+			local, err := NewEstateSim(cfg)
 			if err != nil {
-				t.Fatalf("inject at t=%d: %v", routed.Time(), err)
+				t.Fatal(err)
 			}
-			routed.ResolveTransfer(i, accepted)
-		}
-		if step%100 != 0 {
-			continue
-		}
-		for ri := 0; ri < local.NumRegions(); ri++ {
-			bufA = local.Region(ri).ResidentStates(bufA)
-			bufB = routed.Region(ri).ResidentStates(bufB)
-			if len(bufA) != len(bufB) {
-				t.Fatalf("t=%d region %d: %d residents vs %d", local.Time(), ri, len(bufA), len(bufB))
+			routed, err := NewEstateSim(cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
-			for k := range bufA {
-				if bufA[k] != bufB[k] {
-					t.Fatalf("t=%d region %d: resident %d = %+v vs %+v",
-						local.Time(), ri, k, bufA[k], bufB[k])
+
+			var bufA, bufB []AvatarState
+			for step := int64(0); step < cfg.Duration; step++ {
+				local.Step()
+				transfers := routed.StepPending()
+				for i, tr := range transfers {
+					accepted, err := routed.Inject(tr)
+					if err != nil {
+						t.Fatalf("inject at t=%d: %v", routed.Time(), err)
+					}
+					routed.ResolveTransfer(i, accepted)
+				}
+				if step%100 != 0 {
+					continue
+				}
+				for ri := 0; ri < local.NumRegions(); ri++ {
+					bufA = local.Region(ri).ResidentStates(bufA)
+					bufB = routed.Region(ri).ResidentStates(bufB)
+					if len(bufA) != len(bufB) {
+						t.Fatalf("t=%d region %d: %d residents vs %d", local.Time(), ri, len(bufA), len(bufB))
+					}
+					for k := range bufA {
+						if bufA[k] != bufB[k] {
+							t.Fatalf("t=%d region %d: resident %d = %+v vs %+v",
+								local.Time(), ri, k, bufA[k], bufB[k])
+						}
+					}
 				}
 			}
-		}
-	}
-	if local.Crossings() != routed.Crossings() || local.Teleports() != routed.Teleports() ||
-		local.BlockedHandoffs() != routed.BlockedHandoffs() {
-		t.Errorf("counters: local %d/%d/%d, routed %d/%d/%d",
-			local.Crossings(), local.Teleports(), local.BlockedHandoffs(),
-			routed.Crossings(), routed.Teleports(), routed.BlockedHandoffs())
-	}
-	if routed.Crossings() == 0 || routed.Teleports() == 0 {
-		t.Error("scenario exercised no handoffs; parity is vacuous")
+			if local.Crossings() != routed.Crossings() || local.Teleports() != routed.Teleports() ||
+				local.BlockedHandoffs() != routed.BlockedHandoffs() {
+				t.Errorf("counters: local %d/%d/%d, routed %d/%d/%d",
+					local.Crossings(), local.Teleports(), local.BlockedHandoffs(),
+					routed.Crossings(), routed.Teleports(), routed.BlockedHandoffs())
+			}
+			if routed.Crossings() == 0 || routed.Teleports() == 0 {
+				t.Error("scenario exercised no handoffs; parity is vacuous")
+			}
+			if cfg.Name == hot.Name && routed.BlockedHandoffs() == 0 {
+				t.Error("capped estate refused no handoffs; the refuse path is untested")
+			}
+		})
 	}
 }
 

@@ -76,16 +76,3 @@ func (s *Source) Next(ctx context.Context) (trace.Snapshot, error) {
 	}
 	return snap, nil
 }
-
-// Collect runs a fresh simulation of the scenario and materialises the
-// full τ-sampled trace, exactly as the paper's crawler did (τ = 10 s).
-//
-// Deprecated: Collect holds the whole trace in memory; stream through
-// NewSource instead when the consumer is incremental.
-func Collect(scn Scenario, tau int64) (*trace.Trace, error) {
-	src, err := NewSource(scn, tau)
-	if err != nil {
-		return nil, err
-	}
-	return trace.Collect(context.Background(), src, "", 0)
-}

@@ -1,11 +1,27 @@
 package world
 
 import (
+	"context"
 	"math"
 	"testing"
 
 	"slmob/internal/geom"
+	"slmob/internal/trace"
 )
+
+// collect simulates the scenario and materialises its τ-sampled trace.
+func collect(t *testing.T, scn Scenario, tau int64) *trace.Trace {
+	t.Helper()
+	src, err := NewSource(scn, tau)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := trace.Collect(context.Background(), src, "", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
 
 // shortScenario returns a small, fast scenario for unit tests.
 func shortScenario(seed uint64) Scenario {
@@ -281,10 +297,7 @@ func TestSittingReportsSeatedState(t *testing.T) {
 func TestCollectProducesValidTrace(t *testing.T) {
 	scn := shortScenario(31)
 	scn.Duration = 1200
-	tr, err := Collect(scn, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := collect(t, scn, 10)
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +310,7 @@ func TestCollectProducesValidTrace(t *testing.T) {
 	if tr.UniqueUsers() == 0 {
 		t.Error("no users observed")
 	}
-	if _, err := Collect(scn, 0); err == nil {
+	if _, err := NewSource(scn, 0); err == nil {
 		t.Error("tau=0 accepted")
 	}
 }
@@ -366,10 +379,7 @@ func TestBaselineModelsProduceMovement(t *testing.T) {
 	for _, model := range []Model{RandomWaypoint, LevyWalk} {
 		scn := BaselineScenario(model, 3)
 		scn.Duration = 900
-		tr, err := Collect(scn, 10)
-		if err != nil {
-			t.Fatalf("%v: %v", model, err)
-		}
+		tr := collect(t, scn, 10)
 		moved := false
 		sessions := tr.Sessions(0)
 		for _, s := range sessions {

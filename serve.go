@@ -43,9 +43,6 @@ func ServeEstate(ctx context.Context, est Estate, opts ...Option) (*EstateServic
 	if warp <= 0 {
 		warp = DefaultWarp
 	}
-	if o.simWorkers > 0 {
-		est.SimWorkers = o.simWorkers
-	}
 	cfg := server.EstateConfig{
 		Estate:    est,
 		Addr:      o.serveAddr,
@@ -98,10 +95,6 @@ func (s *EstateService) SimTime() int64 { return s.srv.SimTime() }
 // tick budget (the warped clock falling behind real time). Safe to call
 // while the service runs.
 func (s *EstateService) TickStats() server.TickStats { return s.srv.TickStats() }
-
-// StepWorkers reports how many goroutines the service steps regions
-// with each tick — the resolved WithSimWorkers value, 1 when serial.
-func (s *EstateService) StepWorkers() int { return s.srv.StepWorkers() }
 
 // StartClock releases a clock held by WithHeldClock (idempotent).
 func (s *EstateService) StartClock() int64 { return s.srv.StartClock() }

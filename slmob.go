@@ -46,9 +46,8 @@
 //	an, err := slmob.Run(ctx, scn, slmob.WithCheckpointEvery("run.ckpt", 1800))
 //	an, err = slmob.Run(ctx, scn, slmob.WithResumeFrom("run.ckpt"))
 //
-// The batch entry points (CollectTrace, Analyze) remain as thin wrappers
-// for workloads that genuinely need the materialised trace, such as the
-// DTN replayer.
+// Workloads that genuinely need the materialised trace, such as the DTN
+// replayer, collect one with NewSource + CollectSource.
 //
 // The subsystems live in internal packages; everything a downstream user
 // needs is re-exported here. DESIGN.md documents the architecture, the
@@ -154,44 +153,6 @@ const (
 	TwoHopRelay    = dtn.TwoHop
 	SprayAndWait   = dtn.SprayAndWait
 )
-
-// CollectTrace simulates the scenario and samples avatar positions every
-// tau seconds, in process, materialising the whole trace. The network
-// path — cmd/slsim plus cmd/slcrawl — produces equivalent traces over
-// TCP.
-//
-// Deprecated: use Run for analysis (it streams in constant memory), or
-// NewSource + CollectSource when the materialised trace itself is needed.
-func CollectTrace(scn Scenario, tau int64) (*Trace, error) {
-	return world.Collect(scn, tau)
-}
-
-// Analyze runs the paper's full analysis with default parameters
-// (r ∈ {10, 80}, L = 20 m), re-walking the trace once per metric.
-//
-// Deprecated: use Run (simulation) or AnalyzeStream (any source) — the
-// streaming pipeline computes the same Analysis in a single pass.
-func Analyze(tr *Trace) (*Analysis, error) {
-	return core.Analyze(tr, core.Config{})
-}
-
-// AnalyzeWith runs the analysis with explicit configuration.
-//
-// Deprecated: use AnalyzeStream with options (WithRanges, WithZoneSize,
-// WithSeatedRepair, ...) over TraceSource(tr).
-func AnalyzeWith(tr *Trace, cfg AnalysisConfig) (*Analysis, error) {
-	return core.Analyze(tr, cfg)
-}
-
-// RunPaperLands simulates and analyses all three target lands for the
-// given duration (use Day for the paper's 24 h).
-//
-// Deprecated: use RunPaperLandsContext, which streams and honours
-// cancellation — or RunLands over PaperLands scenarios when option
-// control (WithParallelLands, WithRanges, ...) is needed.
-func RunPaperLands(seed uint64, duration int64) ([]*LandRun, error) {
-	return experiment.RunLands(context.Background(), seed, duration, PaperTau)
-}
 
 // RunPaperLandsContext simulates and analyses the three target lands as
 // concurrent streaming pipelines under a context.

@@ -1,18 +1,35 @@
 package slmob
 
 import (
+	"context"
 	"math"
 	"testing"
+
+	"slmob/internal/core"
+	"slmob/internal/trace"
+	"slmob/internal/world"
 )
+
+// collectTrace simulates the scenario in process and materialises its
+// τ-sampled trace, for the batch references and replays that need one.
+func collectTrace(tb testing.TB, scn Scenario) *Trace {
+	tb.Helper()
+	src, err := world.NewSource(scn, PaperTau)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tr, err := trace.Collect(context.Background(), src, "", 0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return tr
+}
 
 func TestFacadeEndToEnd(t *testing.T) {
 	scn := DanceIsland(5)
 	scn.Duration = 1800
-	tr, err := CollectTrace(scn, PaperTau)
-	if err != nil {
-		t.Fatal(err)
-	}
-	an, err := Analyze(tr)
+	tr := collectTrace(t, scn)
+	an, err := core.Analyze(tr, core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +79,7 @@ func TestShortRunsThreeLands(t *testing.T) {
 	if testing.Short() {
 		t.Skip("three-land run skipped in -short mode")
 	}
-	runs, err := RunPaperLands(2, 2*3600)
+	runs, err := RunPaperLandsContext(context.Background(), 2, 2*3600)
 	if err != nil {
 		t.Fatal(err)
 	}

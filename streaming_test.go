@@ -34,11 +34,8 @@ func TestStreamingBatchParityPaperLands(t *testing.T) {
 	}
 	for _, scn := range PaperLands(7) {
 		scn.Duration = 2 * 3600
-		tr, err := CollectTrace(scn, PaperTau)
-		if err != nil {
-			t.Fatal(err)
-		}
-		batch, err := Analyze(tr)
+		tr := collectTrace(t, scn)
+		batch, err := core.Analyze(tr, core.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -55,11 +52,8 @@ func TestStreamingBatchParityPaperLands(t *testing.T) {
 func TestAnalyzeStreamMatchesReplay(t *testing.T) {
 	scn := DanceIsland(11)
 	scn.Duration = 1800
-	tr, err := CollectTrace(scn, PaperTau)
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch, err := Analyze(tr)
+	tr := collectTrace(t, scn)
+	batch, err := core.Analyze(tr, core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,10 +166,7 @@ func TestCollectSourceCustomSource(t *testing.T) {
 func TestFileStreamRoundTrip(t *testing.T) {
 	scn := IsleOfView(9)
 	scn.Duration = 900
-	tr, err := CollectTrace(scn, PaperTau)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := collectTrace(t, scn)
 	for _, name := range []string{"roundtrip.sltr", "roundtrip.csv"} {
 		path := t.TempDir() + "/" + name
 		if err := WriteTraceFile(tr, path); err != nil {
