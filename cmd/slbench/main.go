@@ -66,8 +66,7 @@ type windowTiming struct {
 // incrementalStats is the JSON view of the analysis core's
 // temporal-coherence engine over a run: what fraction of per-range
 // snapshot graphs were patched from the previous snapshot instead of
-// rebuilt, the per-snapshot diff rates behind that, and the metric-cache
-// hit ratios.
+// rebuilt, and the per-snapshot diff rates behind that.
 type incrementalStats struct {
 	// Snapshots counts per-range graph builds (snapshots × ranges).
 	Snapshots int64 `json:"snapshots"`
@@ -84,11 +83,6 @@ type incrementalStats struct {
 	// EdgesChangedPerSnapshot is the mean number of adjacency patches
 	// (adds + removes) per incremental build.
 	EdgesChangedPerSnapshot float64 `json:"edges_changed_per_snapshot"`
-	// DiamReuseFrac / CCReuseFrac are the metric-cache hit ratios:
-	// diameters answered from the component cache, and per-vertex
-	// clustering coefficients served without recomputation.
-	DiamReuseFrac float64 `json:"diam_reuse_frac"`
-	CCReuseFrac   float64 `json:"cc_reuse_frac"`
 }
 
 // incrementalOf condenses summed workspace counters into the JSON block.
@@ -107,12 +101,6 @@ func incrementalOf(st graph.WorkspaceStats) *incrementalStats {
 	out.DepartedPerSnapshot = float64(st.Departed) / float64(diffed)
 	if st.Incremental > 0 {
 		out.EdgesChangedPerSnapshot = float64(st.EdgesAdded+st.EdgesRemoved) / float64(st.Incremental)
-	}
-	if n := st.DiamReused + st.DiamComputed; n > 0 {
-		out.DiamReuseFrac = float64(st.DiamReused) / float64(n)
-	}
-	if n := st.CCReused + st.CCComputed; n > 0 {
-		out.CCReuseFrac = float64(st.CCReused) / float64(n)
 	}
 	return out
 }
@@ -650,10 +638,9 @@ func main() {
 	}
 	bo.Incremental = incrementalOf(wsSum)
 	if inc := bo.Incremental; inc != nil {
-		fmt.Printf("slbench: incremental graph builds: %.1f%% of %d (moved %.1f, ±%.1f avatars and %.1f edges per snapshot; diameter reuse %.1f%%, clustering reuse %.1f%%)\n\n",
+		fmt.Printf("slbench: incremental graph builds: %.1f%% of %d (moved %.1f, ±%.1f avatars and %.1f edges per snapshot)\n\n",
 			inc.IncrementalFrac*100, inc.Snapshots, inc.MovedPerSnapshot,
-			inc.ArrivedPerSnapshot+inc.DepartedPerSnapshot, inc.EdgesChangedPerSnapshot,
-			inc.DiamReuseFrac*100, inc.CCReuseFrac*100)
+			inc.ArrivedPerSnapshot+inc.DepartedPerSnapshot, inc.EdgesChangedPerSnapshot)
 	}
 	if *churn {
 		sweep, err := churnSweep(ctx, *seed, *duration)

@@ -38,13 +38,6 @@ type WorkspaceStats struct {
 	// incremental work.
 	EdgesAdded   int64
 	EdgesRemoved int64
-	// DiamReused / DiamComputed count Diameter calls answered from the
-	// component cache vs recomputed; CCReused / CCComputed count
-	// per-vertex clustering coefficients served from cache vs computed.
-	DiamReused   int64
-	DiamComputed int64
-	CCReused     int64
-	CCComputed   int64
 }
 
 // Add folds another stats block into st.
@@ -57,10 +50,6 @@ func (st *WorkspaceStats) Add(o WorkspaceStats) {
 	st.Departed += o.Departed
 	st.EdgesAdded += o.EdgesAdded
 	st.EdgesRemoved += o.EdgesRemoved
-	st.DiamReused += o.DiamReused
-	st.DiamComputed += o.DiamComputed
-	st.CCReused += o.CCReused
-	st.CCComputed += o.CCComputed
 }
 
 // Stats returns a copy of the workspace's incremental-engine counters.
@@ -74,13 +63,11 @@ func (ws *Workspace) SetChurnThreshold(t float64) { ws.d.thresh = t }
 
 // deltaState is the temporal-coherence state ApplyPositions keeps between
 // snapshots. Avatars live in stable slots so that identity survives the
-// index reshuffling of arrivals and departures: the grid, the slot-space
-// adjacency, and the per-slot metric caches are keyed by slot, and each
-// call translates the patched slot-space graph into the workspace's
-// index-space CSR arena.
+// index reshuffling of arrivals and departures: the grid and the
+// slot-space adjacency are keyed by slot, and each call translates the
+// patched slot-space graph into the workspace's index-space CSR arena.
 type deltaState struct {
 	ok     bool    // slot state mirrors the previous snapshot
-	active bool    // the latest build came through ApplyPositions
 	r      float64 // communication range the state is keyed to
 	thresh float64 // churn fallback threshold; 0 selects the default
 	epoch  int64   // ApplyPositions call counter, for generation stamps
@@ -99,19 +86,11 @@ type deltaState struct {
 	slotOf []int32 // current index -> slot
 	idxOf  []int32 // slot -> current index
 
-	// Metric caches, invalidated by edge changes in the slot's
-	// neighbourhood (see touch rules in detachSlot/linkSlots).
-	cc     []float64 // slot -> local clustering coefficient
-	ccOK   []bool
-	diam   []int32 // slot -> diameter of its component when last cached
-	diamOK []bool
-
 	// Per-call scratch.
 	dirty    []int32 // slots whose edges must be recomputed
 	departed []int32
 	arrived  []int32 // current indices of new avatars
 	moved    []int32 // current indices of avatars whose (X, Y) changed
-	ccStamp  []int32 // neighbour-membership stamps for clustering recompute
 }
 
 // ApplyPositions builds the same proximity graph FromPositions builds —
@@ -135,6 +114,7 @@ func (ws *Workspace) ApplyPositions(ids []uint64, ps []geom.Vec, r float64) *Gra
 		panic("graph: ApplyPositions ids/positions length mismatch")
 	}
 	ws.stats.Snapshots++
+	ws.rowsOK = false
 	d := &ws.d
 	if r <= 0 {
 		// Degenerate range: no edges ever; the scratch builder handles it
@@ -256,15 +236,14 @@ func (ws *Workspace) ApplyPositions(ids []uint64, ps []geom.Vec, r float64) *Gra
 		ws.adj[i] = ws.arena[ws.off[i]:ws.off[i+1]:ws.off[i+1]]
 	}
 	ws.g = Graph{adj: ws.adj, m: int(m2) / 2}
-	d.active = true
 	return &ws.g
 }
 
 // rebuildDelta builds the slot state from scratch with slot == index —
 // the first-call path and the churn fallback. The scratch grid pass is
 // the same two-pass build FromPositions runs; on top of it the slot
-// tables, the persistent grid, and the (invalidated) metric caches are
-// refilled so the next call can patch incrementally.
+// tables and the persistent grid are refilled so the next call can patch
+// incrementally.
 //
 //slmob:hotpath
 func (ws *Workspace) rebuildDelta(ids []uint64, ps []geom.Vec, r float64) *Graph {
@@ -283,8 +262,6 @@ func (ws *Workspace) rebuildDelta(ids []uint64, ps []geom.Vec, r float64) *Graph
 	d.free = d.free[:0]
 	for s := len(d.id) - 1; s >= n; s-- {
 		d.nbr[s] = d.nbr[s][:0]
-		d.ccOK[s] = false
-		d.diamOK[s] = false
 		d.free = append(d.free, int32(s))
 	}
 	d.live = d.live[:0]
@@ -300,8 +277,6 @@ func (ws *Workspace) rebuildDelta(ids []uint64, ps []geom.Vec, r float64) *Graph
 		d.pos[i] = ps[i]
 		d.seen[i] = d.epoch
 		d.idxOf[i] = int32(i)
-		d.ccOK[i] = false
-		d.diamOK[i] = false
 		d.slotOf[i] = int32(i)
 		d.live = append(d.live, int32(i))
 		d.grid.Insert(int64(i), ps[i])
@@ -333,7 +308,6 @@ func (ws *Workspace) rebuildDelta(ids []uint64, ps []geom.Vec, r float64) *Graph
 		d.nbr[i] = lst
 	}
 	d.ok = true
-	d.active = true
 	return &ws.g
 }
 
@@ -349,16 +323,11 @@ func (d *deltaState) ensureSlots(n int) {
 		d.seen = append(d.seen, 0)
 		d.dirtG = append(d.dirtG, 0)
 		d.idxOf = append(d.idxOf, -1)
-		d.cc = append(d.cc, 0)
-		d.ccOK = append(d.ccOK, false)
-		d.diam = append(d.diam, 0)
-		d.diamOK = append(d.diamOK, false)
 	}
 }
 
 // allocSlot hands out a recycled slot, or a fresh one when the free list
-// is empty. Fresh slots start with cleared caches by construction;
-// recycled slots were cleared when freed.
+// is empty. Recycled slots were detached when freed.
 //
 //slmob:hotpath
 func (d *deltaState) allocSlot() int32 {
@@ -382,10 +351,7 @@ func (d *deltaState) markDirty(s int32) {
 	}
 }
 
-// detachSlot removes every edge incident to s and invalidates the metric
-// caches the removals can affect: s itself and each ex-neighbour. (A
-// vertex whose clustering depends on a removed edge {s, o} is adjacent to
-// s, so the N_old(s) sweep covers all third parties.)
+// detachSlot removes every edge incident to s.
 //
 //slmob:hotpath
 func (ws *Workspace) detachSlot(s int32) {
@@ -400,13 +366,9 @@ func (ws *Workspace) detachSlot(s int32) {
 				break
 			}
 		}
-		d.ccOK[o] = false
-		d.diamOK[o] = false
 	}
 	ws.stats.EdgesRemoved += int64(len(d.nbr[s]))
 	d.nbr[s] = d.nbr[s][:0]
-	d.ccOK[s] = false
-	d.diamOK[s] = false
 }
 
 // relinkSlot re-derives s's neighbourhood from the patched grid. Edges to
@@ -424,117 +386,7 @@ func (ws *Workspace) relinkSlot(s int32, r float64) {
 		}
 		d.nbr[s] = append(d.nbr[s], o)
 		d.nbr[o] = append(d.nbr[o], s)
-		d.ccOK[s] = false
-		d.ccOK[o] = false
-		d.diamOK[s] = false
-		d.diamOK[o] = false
 		ws.stats.EdgesAdded++
 		return true
 	})
-}
-
-// deltaDiameter answers Diameter for an ApplyPositions-built graph:
-// ws.best already holds the largest component (current indices). When
-// every member's slot carries a valid cached diameter, the component is
-// unchanged since the cache was filled — any structural change clears at
-// least one member's flag — and the cached value is returned. Otherwise
-// the all-pairs BFS runs with distance resets restricted to the
-// component (O(|C|²) instead of O(|C|·n)) and refills the cache.
-//
-//slmob:hotpath
-func (ws *Workspace) deltaDiameter() int {
-	d := &ws.d
-	g := &ws.g
-	cached := true
-	for _, u := range ws.best {
-		if !d.diamOK[d.slotOf[u]] {
-			cached = false
-			break
-		}
-	}
-	if cached {
-		ws.stats.DiamReused++
-		return int(d.diam[d.slotOf[ws.best[0]]])
-	}
-	ws.stats.DiamComputed++
-	diam := int32(0)
-	for _, src := range ws.best {
-		for _, u := range ws.best {
-			ws.dist[u] = -1
-		}
-		ws.dist[src] = 0
-		ws.queue = ws.queue[:0]
-		ws.queue = append(ws.queue, src)
-		for qi := 0; qi < len(ws.queue); qi++ {
-			u := ws.queue[qi]
-			du := ws.dist[u]
-			for _, v := range g.adj[u] {
-				if ws.dist[v] < 0 {
-					ws.dist[v] = du + 1
-					ws.queue = append(ws.queue, v)
-					if du+1 > diam {
-						diam = du + 1
-					}
-				}
-			}
-		}
-	}
-	for _, u := range ws.best {
-		s := d.slotOf[u]
-		d.diam[s] = diam
-		d.diamOK[s] = true
-	}
-	return int(diam)
-}
-
-// deltaMeanClustering answers MeanClustering for an ApplyPositions-built
-// graph, reusing each vertex's cached coefficient unless an edge change
-// touched its two-hop neighbourhood. Invalidated coefficients are
-// recomputed with a neighbour-stamp sweep — O(Σ deg(v) over v ∈ N(u))
-// instead of LocalClustering's pairwise HasEdge scans — which counts
-// exactly the same integer number of links, so the coefficient, the sum
-// order, and the result are all bit-identical to Graph.MeanClustering.
-//
-//slmob:hotpath
-func (ws *Workspace) deltaMeanClustering() float64 {
-	g := &ws.g
-	n := len(g.adj)
-	if n == 0 {
-		return 0
-	}
-	d := &ws.d
-	d.ccStamp = growInt32(d.ccStamp, n)
-	for i := range d.ccStamp {
-		d.ccStamp[i] = 0
-	}
-	sum := 0.0
-	for u := 0; u < n; u++ {
-		s := d.slotOf[u]
-		if d.ccOK[s] {
-			ws.stats.CCReused++
-		} else {
-			nbrs := g.adj[u]
-			c := 0.0
-			if k := len(nbrs); k >= 2 {
-				st := int32(u) + 1
-				for _, v := range nbrs {
-					d.ccStamp[v] = st
-				}
-				links := 0
-				for _, v := range nbrs {
-					for _, w := range g.adj[v] {
-						if w > v && d.ccStamp[w] == st {
-							links++
-						}
-					}
-				}
-				c = 2 * float64(links) / float64(k*(k-1))
-			}
-			d.cc[s] = c
-			d.ccOK[s] = true
-			ws.stats.CCComputed++
-		}
-		sum += d.cc[s]
-	}
-	return sum / float64(n)
 }

@@ -90,7 +90,8 @@ func edgeSet(g *Graph) []uint64 {
 }
 
 // checkParity asserts that the delta workspace's current graph and
-// metrics are bit-identical to a scratch build over the same snapshot.
+// metrics are bit-identical to a scratch build over the same snapshot,
+// and that both workspaces' metric kernels match the Graph references.
 func checkParity(t *testing.T, step int, ws *Workspace, ps []geom.Vec, r float64) {
 	t.Helper()
 	g := ws.Graph()
@@ -107,11 +108,17 @@ func checkParity(t *testing.T, step int, ws *Workspace, ps []geom.Vec, r float64
 	if ge, we := edgeSet(g), edgeSet(want); !slices.Equal(ge, we) {
 		t.Fatalf("step %d: edge sets differ: got %d edges, want %d", step, len(ge), len(we))
 	}
-	if gd, wd := ws.Diameter(), scratch.Diameter(); gd != wd {
-		t.Fatalf("step %d: diameter = %d, want %d", step, gd, wd)
-	}
-	if gc, wc := ws.MeanClustering(), scratch.MeanClustering(); gc != wc {
-		t.Fatalf("step %d: clustering = %v, want %v (must be bit-identical)", step, gc, wc)
+	wd, wc := want.Diameter(), want.MeanClustering()
+	for _, k := range []struct {
+		name string
+		ws   *Workspace
+	}{{"delta", ws}, {"scratch", scratch}} {
+		if gd := k.ws.Diameter(); gd != wd {
+			t.Fatalf("step %d: %s diameter = %d, want %d", step, k.name, gd, wd)
+		}
+		if gc := k.ws.MeanClustering(); gc != wc {
+			t.Fatalf("step %d: %s clustering = %v, want %v (must be bit-identical)", step, k.name, gc, wc)
+		}
 	}
 }
 
@@ -123,27 +130,36 @@ func checkParity(t *testing.T, step int, ws *Workspace, ps []geom.Vec, r float64
 func TestApplyPositionsDifferential(t *testing.T) {
 	regimes := []struct {
 		name                          string
+		start                         int
 		logout, login, teleport, walk float64
 	}{
-		{"calm", 0.002, 0.1, 0.002, 0.05},
-		{"paper", 0.01, 0.3, 0.01, 0.2},
-		{"stormy", 0.08, 0.9, 0.15, 0.6},
+		{"calm", 70, 0.002, 0.1, 0.002, 0.05},
+		{"paper", 70, 0.01, 0.3, 0.01, 0.2},
+		{"stormy", 70, 0.08, 0.9, 0.15, 0.6},
+		// Grows from 58 past 64 avatars, so the bitset rows widen from
+		// one word to two mid-stream.
+		{"filling", 58, 0.002, 0.1, 0.01, 0.2},
 	}
 	thresholds := []float64{1.0, 0, 0.05, -1}
 	for _, reg := range regimes {
 		for _, thresh := range thresholds {
 			for _, r := range []float64{10, 80} {
-				sim := newDeltaSim(uint64(len(reg.name))*1000003+uint64(r), 70)
+				sim := newDeltaSim(uint64(len(reg.name))*1000003+uint64(r), reg.start)
 				ws := NewWorkspace()
 				ws.SetChurnThreshold(thresh)
+				minN, maxN := len(sim.ids), len(sim.ids)
 				for step := 0; step < 120; step++ {
 					sim.step(reg.logout, reg.login, reg.teleport, reg.walk)
+					minN, maxN = min(minN, len(sim.ids)), max(maxN, len(sim.ids))
 					ws.ApplyPositions(sim.ids, sim.pos, r)
 					checkParity(t, step, ws, sim.pos, r)
 					// A scratch build mid-stream must invalidate cleanly.
 					if step == 60 {
 						ws.FromPositions(sim.pos, r)
 					}
+				}
+				if reg.name == "filling" && (minN > 64 || maxN <= 64) {
+					t.Fatalf("filling r=%v: population spanned %d..%d, want it to cross 64", r, minN, maxN)
 				}
 				st := ws.Stats()
 				if st.Snapshots != 120 {
@@ -213,11 +229,9 @@ func TestApplyPositionsRangeChange(t *testing.T) {
 	}
 }
 
-// TestApplyPositionsComponentReuse pins the metric-reuse machinery: on a
-// static population every Diameter call after the first is served from
-// the component cache and every clustering coefficient from the vertex
-// cache; moving one far-away isolate must not invalidate the main
-// component's caches.
+// TestApplyPositionsComponentReuse: a static population served
+// incrementally, then one far-away isolate moved, must keep the metrics
+// bit-identical to a scratch build at every step.
 func TestApplyPositionsComponentReuse(t *testing.T) {
 	ws := NewWorkspace()
 	// A connected cluster plus one distant isolate.
@@ -228,29 +242,12 @@ func TestApplyPositionsComponentReuse(t *testing.T) {
 	ids := []uint64{1, 2, 3, 4, 99}
 	for step := 0; step < 5; step++ {
 		ws.ApplyPositions(ids, ps, 10)
-		ws.Diameter()
-		ws.MeanClustering()
+		checkParity(t, step, ws, ps, 10)
 	}
-	st := ws.Stats()
-	if st.DiamComputed != 1 || st.DiamReused != 4 {
-		t.Fatalf("static population: diameter computed %d / reused %d, want 1/4", st.DiamComputed, st.DiamReused)
-	}
-	if st.CCComputed != 5 {
-		t.Fatalf("static population: %d clustering coefficients computed, want 5", st.CCComputed)
-	}
-	// Move the isolate: the cluster's caches must survive.
+	// Move the isolate.
 	ps[4] = geom.V2(200, 200)
 	ws.ApplyPositions(ids, ps, 10)
-	ws.Diameter()
-	ws.MeanClustering()
-	st = ws.Stats()
-	if st.DiamComputed != 1 || st.DiamReused != 5 {
-		t.Fatalf("isolate move invalidated the main component: computed %d / reused %d", st.DiamComputed, st.DiamReused)
-	}
-	if st.CCComputed != 6 { // only the isolate recomputes
-		t.Fatalf("isolate move recomputed %d coefficients, want 6 total", st.CCComputed)
-	}
-	checkParity(t, 6, ws, ps, 10)
+	checkParity(t, 5, ws, ps, 10)
 }
 
 // deltaAllocFrames precomputes a cycle of snapshots over a stable

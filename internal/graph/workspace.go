@@ -1,24 +1,26 @@
 package graph
 
 import (
+	"math/bits"
+
 	"slmob/internal/geom"
 )
 
 // Workspace owns every buffer the snapshot-rate graph pipeline needs —
-// the spatial grid, a flat CSR-style adjacency arena, and the BFS
-// distance/queue/component scratch — so that building a proximity graph
-// and computing its diameter and clustering performs zero heap
-// allocations per snapshot once the buffers have warmed up to the
-// population size. One Workspace serves one goroutine and one
-// communication range at a time; it is not safe for concurrent use.
+// the spatial grid, a flat CSR-style adjacency arena, the component
+// scratch, and the adjacency bitset the line-of-sight metrics run on —
+// so that building a proximity graph and computing its diameter and
+// clustering performs zero heap allocations per snapshot once the
+// buffers have warmed up to the population size. One Workspace serves
+// one goroutine and one communication range at a time; it is not safe
+// for concurrent use.
 //
 // Two build modes share the storage. FromPositions rebuilds the graph
 // from scratch every call; ApplyPositions (delta.go) diffs the snapshot
-// against the previous one and patches only what moved, reusing cached
-// per-vertex clustering and per-component diameters for the untouched
-// remainder. Both modes produce graphs with identical edge sets, and
-// every metric computed from them — degrees, diameter, clustering — is
-// bit-identical between the two.
+// against the previous one and patches only what moved. Both modes
+// produce graphs with identical edge sets, and Diameter and
+// MeanClustering run the same bitset kernels on either, so every metric
+// — degrees, diameter, clustering — is bit-identical between the two.
 //
 // The *Graph returned by FromPositions or ApplyPositions aliases the
 // workspace's arena and is valid only until the next build call.
@@ -33,12 +35,19 @@ type Workspace struct {
 	adj   [][]int32 // per-vertex views into arena
 	g     Graph     // the reusable graph header handed back to callers
 
-	// BFS / component scratch for Diameter.
-	dist  []int32
+	// Component scratch for Diameter.
 	queue []int32
 	seen  []bool
 	comp  []int32 // current component under construction
 	best  []int32 // largest component seen so far
+
+	// Adjacency bitset for the metric kernels: row u is
+	// rows[u*w : (u+1)*w] with w = ⌈n/64⌉. rowsOK marks it current for
+	// g; the builders clear it and fillRows refills on the first metric
+	// call.
+	rows   []uint64
+	rowsOK bool
+	front  []uint64 // visited, frontier, next: three rows of BFS scratch
 
 	// Incremental (temporal-coherence) state for ApplyPositions.
 	d     deltaState
@@ -75,7 +84,7 @@ func growInt32(buf []int32, n int) []int32 {
 //slmob:hotpath
 func (ws *Workspace) FromPositions(ps []geom.Vec, r float64) *Graph {
 	ws.d.ok = false
-	ws.d.active = false
+	ws.rowsOK = false
 	n := len(ps)
 	if cap(ws.adj) < n {
 		ws.adj = make([][]int32, n, n+n/2+8)
@@ -150,11 +159,39 @@ func (ws *Workspace) buildCSR(n int) {
 	ws.g.m = len(ws.pairs) / 2
 }
 
+// fillRows lays the current graph out as an adjacency bitset — row u
+// holds bit v for every neighbour v, in w = ⌈n/64⌉ words — once per
+// build, and returns w. Both line-of-sight kernels run on these rows,
+// whichever builder made the graph.
+//
+//slmob:hotpath
+func (ws *Workspace) fillRows() int {
+	n := len(ws.g.adj)
+	w := (n + 63) >> 6
+	if ws.rowsOK {
+		return w
+	}
+	if cap(ws.rows) < n*w {
+		ws.rows = make([]uint64, n*w, n*w+n*w/2+8)
+	}
+	ws.rows = ws.rows[:n*w]
+	clear(ws.rows)
+	for u, nbrs := range ws.g.adj {
+		row := ws.rows[u*w : u*w+w]
+		for _, v := range nbrs {
+			row[v>>6] |= 1 << (v & 63)
+		}
+	}
+	ws.rowsOK = true
+	return w
+}
+
 // Diameter computes the longest shortest path within the largest
 // connected component of the workspace's current graph — the same value
-// Graph.Diameter returns — using the shared BFS buffers instead of
-// per-call allocations. After an ApplyPositions build it reuses the
-// previous snapshot's result when the largest component is untouched.
+// Graph.Diameter returns — without per-call allocations. After finding
+// the component it runs one frontier BFS per member over the adjacency
+// bitset: next = (OR of the frontier's rows) &^ visited, one level per
+// round, so the cost is O(|C|²·⌈n/64⌉) word operations.
 //
 //slmob:hotpath
 func (ws *Workspace) Diameter() int {
@@ -163,15 +200,12 @@ func (ws *Workspace) Diameter() int {
 	if n == 0 {
 		return 0
 	}
-	ws.dist = growInt32(ws.dist, n)
 	ws.queue = growInt32(ws.queue, n)[:0]
 	if cap(ws.seen) < n {
 		ws.seen = make([]bool, n, n+n/2+8)
 	}
 	ws.seen = ws.seen[:n]
-	for i := range ws.seen {
-		ws.seen[i] = false
-	}
+	clear(ws.seen)
 
 	// Largest component, ties broken by first-seen order like
 	// Graph.LargestComponent.
@@ -201,33 +235,46 @@ func (ws *Workspace) Diameter() int {
 	if len(ws.best) < 2 {
 		return 0
 	}
-	if ws.d.active {
-		return ws.deltaDiameter()
-	}
 
-	diam := int32(0)
+	w := ws.fillRows()
+	if cap(ws.front) < 3*w {
+		ws.front = make([]uint64, 3*w)
+	}
+	visited, frontier, next := ws.front[:w], ws.front[w:2*w], ws.front[2*w:3*w]
+	diam := 0
 	for _, src := range ws.best {
-		for i := range ws.dist {
-			ws.dist[i] = -1
-		}
-		ws.dist[src] = 0
-		ws.queue = ws.queue[:0]
-		ws.queue = append(ws.queue, src)
-		for qi := 0; qi < len(ws.queue); qi++ {
-			u := ws.queue[qi]
-			du := ws.dist[u]
-			for _, v := range g.adj[u] {
-				if ws.dist[v] < 0 {
-					ws.dist[v] = du + 1
-					ws.queue = append(ws.queue, v)
-					if du+1 > diam {
-						diam = du + 1
+		clear(visited)
+		clear(frontier)
+		visited[src>>6] = 1 << (src & 63)
+		frontier[src>>6] = visited[src>>6]
+		level := 0
+		for {
+			clear(next)
+			for i, f := range frontier {
+				for ; f != 0; f &= f - 1 {
+					v := i<<6 + bits.TrailingZeros64(f)
+					for j, x := range ws.rows[v*w : v*w+w] {
+						next[j] |= x
 					}
 				}
 			}
+			grew := uint64(0)
+			for j := range next {
+				next[j] &^= visited[j]
+				visited[j] |= next[j]
+				grew |= next[j]
+			}
+			if grew == 0 {
+				break
+			}
+			level++
+			frontier, next = next, frontier
+		}
+		if level > diam {
+			diam = level
 		}
 	}
-	return int(diam)
+	return diam
 }
 
 // Graph returns the workspace's current graph — the value the latest
@@ -235,13 +282,35 @@ func (ws *Workspace) Diameter() int {
 func (ws *Workspace) Graph() *Graph { return &ws.g }
 
 // MeanClustering returns the mean Watts–Strogatz clustering coefficient
-// of the workspace's current graph. After an ApplyPositions build,
-// per-vertex coefficients cached from previous snapshots are reused for
-// every vertex whose two-hop neighbourhood is unchanged; the result is
-// bit-identical to Graph.MeanClustering either way.
+// of the workspace's current graph, bit-identical to
+// Graph.MeanClustering. Each vertex's link count is read off the
+// adjacency bitset: every edge among u's neighbours shows up twice in
+// Σ_{v∈N(u)} popcount(row[u] & row[v]). The link count is the same
+// integer LocalClustering finds, and the coefficients are summed in the
+// same vertex order, so the float result carries the same bits.
+//
+//slmob:hotpath
 func (ws *Workspace) MeanClustering() float64 {
-	if ws.d.active {
-		return ws.deltaMeanClustering()
+	n := len(ws.g.adj)
+	if n == 0 {
+		return 0
 	}
-	return ws.g.MeanClustering()
+	w := ws.fillRows()
+	sum := 0.0
+	for u, nbrs := range ws.g.adj {
+		k := len(nbrs)
+		if k < 2 {
+			continue
+		}
+		ru := ws.rows[u*w : u*w+w]
+		twice := 0
+		for _, v := range nbrs {
+			rv := ws.rows[int(v)*w : int(v)*w+w]
+			for j, x := range ru {
+				twice += bits.OnesCount64(x & rv[j])
+			}
+		}
+		sum += 2 * float64(twice/2) / float64(k*(k-1))
+	}
+	return sum / float64(n)
 }

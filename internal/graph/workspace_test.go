@@ -32,7 +32,8 @@ func wsPositions(n int, salt uint64) []geom.Vec {
 // — and the same diameter and clustering, across populations and ranges.
 func TestWorkspaceMatchesFromPositions(t *testing.T) {
 	ws := NewWorkspace()
-	for _, n := range []int{0, 1, 2, 7, 60, 200} {
+	// 63..65 and 128/129 straddle the 64-bit words of the bitset rows.
+	for _, n := range []int{0, 1, 2, 7, 60, 63, 64, 65, 128, 129, 200} {
 		for _, r := range []float64{0, 5, 10, 80} {
 			ps := wsPositions(n, uint64(n)+uint64(r*1000))
 			want := FromPositions(ps, r)
@@ -114,6 +115,37 @@ func BenchmarkP4WorkspaceBuild(b *testing.B) {
 		ws.FromPositions(ps, 10)
 		ws.Diameter()
 		ws.MeanClustering()
+	}
+}
+
+// BenchmarkP4WorkspaceMetrics times the line-of-sight kernels alone —
+// Diameter plus MeanClustering — on a dense plaza (every avatar of a
+// crowded land within range of most others) and on a scattered
+// population of many small components.
+func BenchmarkP4WorkspaceMetrics(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		ps   []geom.Vec
+		r    float64
+	}{
+		{"plaza_n60_r80", crowdPositions(60), 80},
+		{"scattered_n200_r10", wsPositions(200, 4), 10},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			ws := NewWorkspace()
+			g := ws.FromPositions(c.ps, c.r)
+			ws.Diameter()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				// Every snapshot refills the bitset rows; so does each
+				// iteration.
+				ws.rowsOK = false
+				ws.Diameter()
+				ws.MeanClustering()
+			}
+			b.ReportMetric(float64(g.M()), "edges")
+		})
 	}
 }
 
