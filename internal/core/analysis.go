@@ -83,7 +83,7 @@ func (c Config) withDefaults(tau int64) Config {
 }
 
 // Accumulator is the contract every metric state in the analysis core
-// satisfies: the pair-table contact sink (ContactSet), the line-of-sight
+// satisfies: the contact sink (ContactSet), the line-of-sight
 // metrics (NetMetrics), the weighted distributions behind every
 // integer-valued metric (stats.Weighted), and the trip session records.
 //

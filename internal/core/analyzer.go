@@ -23,8 +23,11 @@ import (
 // allocations per snapshot.
 //
 // Internally the analyzer separates state machines from event sinks, the
-// split behind the Accumulator contract: the pair table, open sessions,
-// and first-seen maps carry history across the whole stream, while every
+// split behind the Accumulator contract: each range's contact tracker
+// (a past table of every pair ever in contact and a live table of the
+// contacts in progress, fed from its workspace's edge diff), the open
+// sessions, and the first-seen maps carry history across the whole
+// stream, while every
 // completed metric event (a contact duration, a closed session, a
 // snapshot's zone counts) lands in the current sink. The plain Analyzer
 // uses one sink for the whole run; the WindowedAnalyzer swaps sinks at
@@ -277,13 +280,12 @@ func (a *Analyzer) Observe(snap trace.Snapshot) error {
 //
 //slmob:hotpath
 func (a *Analyzer) observeRange(rs *rangeState, t int64) {
-	var g *graph.Graph
 	if a.cfg.DisableIncremental {
-		g = rs.ws.FromPositions(a.sc.positions, rs.r)
+		rs.ws.FromPositions(a.sc.positions, rs.r)
 	} else {
-		g = rs.ws.ApplyPositions(a.sc.gids, a.sc.positions, rs.r)
+		rs.ws.ApplyPositions(a.sc.gids, a.sc.positions, rs.r)
 	}
-	rs.ct.observe(a.sc.ids, a.sc.fsT, g, t, t == a.firstT)
+	rs.ct.observeBuild(a.sc.ids, a.sc.fsT, rs.ws, t, t == a.firstT)
 
 	// Line-of-sight metrics; snapshots without users are skipped.
 	if len(a.sc.positions) == 0 {

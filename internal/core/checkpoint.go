@@ -28,10 +28,14 @@ func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
 // Checkpointing: the serializable leg of the Accumulator contract. A
 // checkpoint is a versioned binary snapshot (internal/snap) of the FULL
 // analyzer state — configuration, stream cursor, every state machine
-// (pair tables mid-contact, open sessions, first-seen maps) and every
-// event sink — so a killed run restores and, re-fed the remainder of the
-// stream, finishes with a digest identical to an uninterrupted run. The
-// golden checkpoint fixture pins exactly that.
+// (contact trackers mid-contact, open sessions, first-seen maps) and
+// every event sink — so a killed run restores and, re-fed the remainder
+// of the stream, finishes with a digest identical to an uninterrupted
+// run. The golden checkpoint fixture pins exactly that. A contact
+// tracker's past and live tables are rebuilt from its pair records (see
+// encodeTracker); workspaces are not saved, so the first snapshot after
+// a resume is a full rebuild, whose full edge walk reconciles the
+// restored live table with the graph.
 //
 // Payload kinds within the snap container:
 //
@@ -403,27 +407,34 @@ func encodeTracker(w *snap.Writer, ct *contactTracker) {
 		w.Uvarint(uint64(id))
 		w.Varint(ct.firstContact[id])
 	}
-	w.Uvarint(uint64(ct.table.n))
-	for i := range ct.table.slots {
-		sl := &ct.table.slots[i]
-		if !sl.used {
+	// One record per pair ever in contact: A, B, start, lastSeen,
+	// lastEnd, flags (1 in contact, 2 left-censored, 4 has a previous
+	// contact). A live pair was last seen at the tracker's previous
+	// snapshot; a pair out of contact was last seen at its lastEnd and
+	// records no start.
+	w.Uvarint(uint64(ct.past.n))
+	for i := range ct.past.slots {
+		h := &ct.past.slots[i]
+		if h.key.B == 0 {
 			continue
 		}
-		w.Uvarint(uint64(sl.key.A))
-		w.Uvarint(uint64(sl.key.B))
-		w.Varint(sl.st.start)
-		w.Varint(sl.st.lastSeen)
-		w.Varint(sl.st.lastEnd)
-		var flags uint64
-		if sl.st.inContact {
+		start, lastSeen, flags := int64(0), h.lastEnd, uint64(0)
+		if l := ct.live.find(h.key); l >= 0 {
+			e := &ct.live.slots[l]
+			start, lastSeen = e.start, ct.prevT
 			flags |= 1
+			if e.leftCensored {
+				flags |= 2
+			}
 		}
-		if sl.st.leftCensored {
-			flags |= 2
-		}
-		if sl.st.hasPrev {
+		if h.hasPrev {
 			flags |= 4
 		}
+		w.Uvarint(uint64(h.key.A))
+		w.Uvarint(uint64(h.key.B))
+		w.Varint(start)
+		w.Varint(lastSeen)
+		w.Varint(h.lastEnd)
 		w.Uvarint(flags)
 	}
 }
@@ -442,13 +453,12 @@ func decodeTracker(r *snap.Reader, ct *contactTracker) error {
 		ct.firstContact[id] = t
 	}
 	np := r.Count(7)
+	live := false
 	for i := 0; i < np; i++ {
-		aID := trace.AvatarID(r.Uvarint())
-		bID := trace.AvatarID(r.Uvarint())
-		var st pairState
-		st.start = r.Varint()
-		st.lastSeen = r.Varint()
-		st.lastEnd = r.Varint()
+		k := pairKey{A: trace.AvatarID(r.Uvarint()), B: trace.AvatarID(r.Uvarint())}
+		start := r.Varint()
+		lastSeen := r.Varint()
+		lastEnd := r.Varint()
 		flags := r.Uvarint()
 		if r.Err() != nil {
 			return r.Err()
@@ -456,29 +466,29 @@ func decodeTracker(r *snap.Reader, ct *contactTracker) error {
 		if flags > 7 {
 			return &snap.Error{Kind: snap.KindMalformed, Msg: "bad pair flags"}
 		}
-		if aID >= bID {
+		if k.A >= k.B {
 			return &snap.Error{Kind: snap.KindMalformed, Msg: "pair key not normalised"}
 		}
-		st.inContact = flags&1 != 0
-		st.leftCensored = flags&2 != 0
-		st.hasPrev = flags&4 != 0
-		idx, isNew := ct.table.lookupOrInsert(pairKey{A: aID, B: bID})
+		p, isNew, _ := ct.past.lookupOrInsert(k)
 		if !isNew {
 			return &snap.Error{Kind: snap.KindMalformed, Msg: "duplicate pair in checkpoint"}
 		}
-		ct.table.slots[idx].st = st
-	}
-	// Rebuild the active list from the decoded contact states. Ordering
-	// within the list never affects results; generation stamps restart at
-	// zero, which is safe between snapshots.
-	ct.table.rehashed()
-	ct.active = ct.active[:0]
-	for i := range ct.table.slots {
-		sl := &ct.table.slots[i]
-		if sl.used && sl.st.inContact {
-			ct.active = append(ct.active, int32(i))
+		ct.past.slots[p].lastEnd = lastEnd
+		ct.past.slots[p].hasPrev = flags&4 != 0
+		if flags&1 == 0 {
+			continue
 		}
+		// Every contact in progress was seen at the tracker's latest
+		// snapshot, which becomes its previous one on resume.
+		if live && lastSeen != ct.prevT {
+			return &snap.Error{Kind: snap.KindMalformed, Msg: "live pairs disagree on last snapshot"}
+		}
+		live = true
+		ct.prevT = lastSeen
+		ct.live.insert(liveEntry{key: k, start: start, leftCensored: flags&2 != 0})
 	}
+	// The past table settles its slots only once every pair is in.
+	ct.repoint()
 	return r.Err()
 }
 

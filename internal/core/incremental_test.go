@@ -157,3 +157,40 @@ func TestEstateIncrementalDifferential(t *testing.T) {
 		t.Fatal("estate analysis is empty")
 	}
 }
+
+// BenchmarkP4ContactTracking measures steady-state Observe on the churn
+// stream at the default Bluetooth and WiFi ranges: graph build, contact
+// tracking, and line-of-sight metrics per snapshot. "incremental" is the
+// default path, whose contact tracker reads the graph's edge diff;
+// "scratch" sets DisableIncremental, rebuilding each graph and walking
+// every edge. The stream is replayed in cycles with shifted timestamps,
+// after one warm-up cycle, so every pair and buffer is already known.
+func BenchmarkP4ContactTracking(b *testing.B) {
+	snaps := churnSnapshots(5, 1000)
+	for _, mode := range []struct {
+		name    string
+		disable bool
+	}{{"incremental", false}, {"scratch", true}} {
+		b.Run(mode.name, func(b *testing.B) {
+			a, err := NewAnalyzer("bench", 10, Config{DisableIncremental: mode.disable})
+			if err != nil {
+				b.Fatal(err)
+			}
+			t := int64(0)
+			observe := func(k int) {
+				t += 10
+				if err := a.Observe(trace.Snapshot{T: t, Samples: snaps[k%len(snaps)].Samples}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			for k := range snaps {
+				observe(k)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				observe(i)
+			}
+		})
+	}
+}

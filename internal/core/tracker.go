@@ -8,58 +8,40 @@ import (
 	"slmob/internal/trace"
 )
 
-// pairState tracks an ongoing or past contact between one pair. States
-// live inline in the pair table's slots — no per-pair pointer is ever
-// allocated.
-type pairState struct {
-	// start is the first snapshot time of the ongoing contact.
-	start int64
-	// lastSeen is the latest snapshot time at which the pair was in range.
-	lastSeen int64
-	// lastEnd is the end time of the pair's previous completed contact,
-	// used to emit inter-contact times; valid when hasPrev.
+// pastEntry is one pair's contact history: every pair that was ever in
+// contact has one, for the rest of the stream, so that its next contact
+// can emit an inter-contact time. A zero key.B marks an empty slot — keys
+// are normalised A < B, so no real pair has B == 0.
+type pastEntry struct {
+	key pairKey
+	// lastEnd is the last snapshot time of the pair's previous completed
+	// contact; valid when hasPrev.
 	lastEnd int64
-	// seenGen is the tracker generation (snapshot ordinal) at which the
-	// pair was last observed in range — the allocation-free replacement
-	// for the old per-snapshot "in contact now" set.
-	seenGen uint64
-	// inContact marks a contact in progress as of the previous snapshot.
-	inContact bool
+	hasPrev bool
+}
+
+// liveEntry is one pair in contact as of the tracker's latest snapshot.
+// Such a pair was in range at every snapshot from start to the latest.
+type liveEntry struct {
+	key   pairKey
+	start int64 // first snapshot time of the contact
+	past  int32 // the pair's pastTable slot
 	// leftCensored marks a contact already in progress at the first trace
 	// snapshot, whose true start is unknown.
 	leftCensored bool
-	hasPrev      bool
+	// seen marks, during a full edge walk, a pair found in range again;
+	// the walk's closing sweep clears it.
+	seen bool
 }
 
-// pairSlot is one open-addressing slot: a key plus its inline state.
-type pairSlot struct {
-	key  pairKey
-	used bool
-	st   pairState
-}
+// minPairSlots is the slot count a pair table starts with on its
+// first insertion; tables double at 3/4 load.
+const minPairSlots = 64
 
-// pairTable is an open-addressed hash table over avatar pairs with
-// linear probing. Pairs are only ever inserted (a pair's history feeds
-// inter-contact times for the rest of the stream), so there is no
-// tombstone machinery. Lookups and steady-state insertions allocate
-// nothing; growth doubles the slot array at 3/4 load.
-type pairTable struct {
-	slots   []pairSlot
-	mask    uint64
-	n       int
-	rehashd bool // set when a grow relocated slots since last checked
-}
-
-const pairTableMinSize = 64
-
-func newPairTable() *pairTable {
-	return &pairTable{slots: make([]pairSlot, pairTableMinSize), mask: pairTableMinSize - 1}
-}
-
-// hash mixes both avatar IDs with a splitmix64-style finaliser.
+// hashPair mixes both avatar IDs with a splitmix64-style finaliser.
 //
 //slmob:hotpath
-func (pt *pairTable) hash(k pairKey) uint64 {
+func hashPair(k pairKey) uint64 {
 	h := uint64(k.A)*0x9e3779b97f4a7c15 ^ uint64(k.B)
 	h ^= h >> 30
 	h *= 0xbf58476d1ce4e5b9
@@ -69,66 +51,170 @@ func (pt *pairTable) hash(k pairKey) uint64 {
 	return h
 }
 
-// lookupOrInsert returns the slot index of k, inserting a fresh state if
-// the pair is new. isNew reports the insertion. A grow may relocate every
-// slot; callers holding slot indices across insertions must check
-// rehashed().
+// pastTable is an insert-only open-addressed table of pair histories with
+// linear probing: a pair's history feeds inter-contact times for the
+// rest of the stream, so nothing is ever deleted. Lookups and
+// steady-state insertions allocate nothing.
+type pastTable struct {
+	slots []pastEntry
+	n     int
+}
+
+// lookupOrInsert returns the slot of k, inserting an empty history if
+// the pair is new. isNew reports the insertion; grew reports that the
+// table was resized first, which moves every slot.
 //
 //slmob:hotpath
-func (pt *pairTable) lookupOrInsert(k pairKey) (idx int, isNew bool) {
-	if pt.n*4 >= len(pt.slots)*3 {
+func (pt *pastTable) lookupOrInsert(k pairKey) (idx int, isNew, grew bool) {
+	if (pt.n+1)*4 > len(pt.slots)*3 {
 		pt.grow()
+		grew = true
 	}
-	i := pt.hash(k) & pt.mask
-	for {
+	mask := uint64(len(pt.slots) - 1)
+	for i := hashPair(k) & mask; ; i = (i + 1) & mask {
 		s := &pt.slots[i]
-		if !s.used {
-			s.used = true
-			s.key = k
-			s.st = pairState{}
+		if s.key.B == 0 {
+			*s = pastEntry{key: k}
 			pt.n++
-			return int(i), true
+			return int(i), true, grew
 		}
 		if s.key == k {
-			return int(i), false
+			return int(i), false, grew
 		}
-		i = (i + 1) & pt.mask
 	}
 }
 
-func (pt *pairTable) grow() {
+// find returns the slot of k, or -1.
+//
+//slmob:hotpath
+func (pt *pastTable) find(k pairKey) int {
+	if pt.n == 0 {
+		return -1
+	}
+	mask := uint64(len(pt.slots) - 1)
+	for i := hashPair(k) & mask; ; i = (i + 1) & mask {
+		switch pt.slots[i].key {
+		case k:
+			return int(i)
+		case pairKey{}:
+			return -1
+		}
+	}
+}
+
+func (pt *pastTable) grow() {
 	old := pt.slots
-	pt.slots = make([]pairSlot, len(old)*2)
-	pt.mask = uint64(len(pt.slots) - 1)
-	for i := range old {
-		if !old[i].used {
+	pt.slots = make([]pastEntry, max(2*len(old), minPairSlots))
+	mask := uint64(len(pt.slots) - 1)
+	for _, e := range old {
+		if e.key.B == 0 {
 			continue
 		}
-		j := pt.hash(old[i].key) & pt.mask
-		for pt.slots[j].used {
-			j = (j + 1) & pt.mask
+		j := hashPair(e.key) & mask
+		for pt.slots[j].key.B != 0 {
+			j = (j + 1) & mask
 		}
-		pt.slots[j] = old[i]
+		pt.slots[j] = e
 	}
-	pt.rehashd = true
 }
 
-// rehashed reports (and clears) whether a grow has relocated slots since
-// the previous check.
-func (pt *pairTable) rehashed() bool {
-	r := pt.rehashd
-	pt.rehashd = false
-	return r
+// liveTable is an open-addressed table of the pairs in contact, with
+// linear probing and backward-shift deletion, so a contact's end leaves
+// no tombstone and the table stays as small as the contacts in progress.
+type liveTable struct {
+	slots []liveEntry
+	n     int
+}
+
+// find returns the slot of k, or -1.
+//
+//slmob:hotpath
+func (lt *liveTable) find(k pairKey) int {
+	if lt.n == 0 {
+		return -1
+	}
+	mask := uint64(len(lt.slots) - 1)
+	for i := hashPair(k) & mask; ; i = (i + 1) & mask {
+		switch lt.slots[i].key {
+		case k:
+			return int(i)
+		case pairKey{}:
+			return -1
+		}
+	}
+}
+
+// insert adds e, whose pair must not be in the table.
+//
+//slmob:hotpath
+func (lt *liveTable) insert(e liveEntry) {
+	if (lt.n+1)*4 > len(lt.slots)*3 {
+		lt.grow()
+	}
+	mask := uint64(len(lt.slots) - 1)
+	i := hashPair(e.key) & mask
+	for lt.slots[i].key.B != 0 {
+		i = (i + 1) & mask
+	}
+	lt.slots[i] = e
+	lt.n++
+}
+
+// remove deletes slot i and shifts the rest of its probe run back over
+// the hole. Only entries after i in the run move, so a sweep that
+// starts just past an empty slot can delete as it goes, re-examining
+// slot i, and visits every entry exactly once.
+//
+//slmob:hotpath
+func (lt *liveTable) remove(i int) {
+	mask := len(lt.slots) - 1
+	hole := i
+	for j := (i + 1) & mask; lt.slots[j].key.B != 0; j = (j + 1) & mask {
+		// Move j into the hole unless its home lies cyclically in
+		// (hole, j], where the hole would break its probe run.
+		home := int(hashPair(lt.slots[j].key)) & mask
+		if (j-home)&mask >= (j-hole)&mask {
+			lt.slots[hole] = lt.slots[j]
+			hole = j
+		}
+	}
+	lt.slots[hole] = liveEntry{}
+	lt.n--
+}
+
+func (lt *liveTable) grow() {
+	old := lt.slots
+	lt.slots = make([]liveEntry, max(2*len(old), minPairSlots))
+	lt.n = 0
+	for _, e := range old {
+		if e.key.B != 0 {
+			lt.insert(e)
+		}
+	}
 }
 
 // contactTracker is the per-range contact state machine shared by the
 // single-land Analyzer, the batch ExtractContacts, and the estate-global
 // analysis: it folds one proximity graph per snapshot into running
-// CT/ICT/FT distributions. The hot path is allocation-free at steady
-// state: pair states live inline in an open-addressed table, the old
-// per-snapshot "in contact now" map is replaced by generation stamps,
-// and end detection walks a compact active list (O(active), not O(pairs
-// ever seen)).
+// CT/ICT/FT distributions. Its state is two pair tables: the
+// insert-only past table holds every pair ever in contact with the end
+// of its last contact, and the live table holds the contacts in
+// progress. Both are allocated on first use and allocation-free at
+// steady state.
+//
+// The machine takes its input from one of two sources. After an
+// incremental graph build it reads the workspace's edge diff: a removed
+// edge ends a contact, an added edge starts one, and an unchanged edge
+// costs nothing. After any other build — the first snapshot, a churn
+// fallback, DisableIncremental, the batch path — it walks every edge,
+// checking each against the live table, and ends the live pairs the walk
+// did not reach. Both sources drive the same start and end transitions,
+// so they produce identical events.
+//
+// Every live pair was in range at each snapshot since its start, so the
+// last time it was seen is the tracker's previous snapshot, prevT: a
+// contact ending at t has duration prevT - start + τ and sets the pair's
+// lastEnd to prevT.
 //
 // The tracker is the state-machine half of the metric; the event sink is
 // the ContactSet bound with bind(). Every completed event — a contact
@@ -138,12 +224,10 @@ func (pt *pairTable) rehashed() bool {
 // swap sinks at window boundaries and still have the merged windows
 // reproduce the whole-trace distributions bit-identically.
 type contactTracker struct {
-	tau int64
-	// gen is the snapshot ordinal; a pair with seenGen == gen is in
-	// contact in the current snapshot.
-	gen          uint64
-	table        *pairTable
-	active       []int32 // slot indices of pairs currently in contact
+	tau          int64
+	prevT        int64 // time of the previous snapshot observed
+	past         pastTable
+	live         liveTable
 	firstContact map[trace.AvatarID]int64
 	cs           *ContactSet
 }
@@ -151,7 +235,6 @@ type contactTracker struct {
 func newContactTracker(tau int64) *contactTracker {
 	return &contactTracker{
 		tau:          tau,
-		table:        newPairTable(),
 		firstContact: make(map[trace.AvatarID]int64),
 	}
 }
@@ -161,77 +244,141 @@ func newContactTracker(tau int64) *contactTracker {
 // remainder of the stream into a fresh accumulator.
 func (c *contactTracker) bind(cs *ContactSet) { c.cs = cs }
 
-// observe advances the state machine with the proximity graph g over the
-// avatars ids at snapshot time t. fsT holds each avatar's first-seen
-// time, aligned with ids, so first-contact waits are emitted the moment
-// the first contact happens. first marks the stream's first snapshot,
-// whose ongoing contacts are left-censored.
+// observeBuild advances the state machine with the workspace's latest
+// build: from its edge diff when the build has one, by a full edge walk
+// otherwise. The tracker must have observed every earlier build of ws,
+// so that its live table holds the previous build's edges.
+//
+//slmob:hotpath
+func (c *contactTracker) observeBuild(ids []trace.AvatarID, fsT []int64, ws *graph.Workspace, t int64, first bool) {
+	if diff, ok := ws.EdgeDiff(); ok && !first {
+		c.observeDiff(ids, fsT, diff, t)
+		return
+	}
+	c.observe(ids, fsT, ws.Graph(), t, first)
+}
+
+// observe advances the state machine by a full walk of the proximity
+// graph g over the avatars ids at snapshot time t. fsT holds each
+// avatar's first-seen time, aligned with ids, so first-contact waits are
+// emitted the moment the first contact happens. first marks the
+// stream's first snapshot, whose ongoing contacts are left-censored.
 //
 //slmob:hotpath
 func (c *contactTracker) observe(ids []trace.AvatarID, fsT []int64, g *graph.Graph, t int64, first bool) {
-	c.gen++
-	// Starts and continuations: every pair in range this snapshot gets
-	// the current generation stamp.
 	for i := range ids {
-		if g.Degree(i) > 0 {
-			if _, ok := c.firstContact[ids[i]]; !ok {
-				c.firstContact[ids[i]] = t
-				c.cs.FT.Add(float64(t - fsT[i]))
-			}
+		nbrs := g.Neighbors(i)
+		if len(nbrs) > 0 {
+			c.touch(ids[i], fsT[i], t)
 		}
-		for _, j := range g.Neighbors(i) {
+		for _, j := range nbrs {
 			if int(j) <= i {
 				continue
 			}
-			idx, isNew := c.table.lookupOrInsert(makePair(ids[i], ids[int(j)]))
-			if isNew {
-				c.cs.Pairs++
+			k := makePair(ids[i], ids[j])
+			if l := c.live.find(k); l >= 0 {
+				c.live.slots[l].seen = true
+				continue
 			}
-			st := &c.table.slots[idx].st
-			st.seenGen = c.gen
-			if !st.inContact {
-				st.inContact = true
-				st.start = t
-				st.leftCensored = first
-				if st.hasPrev {
-					c.cs.ICT.Add(float64(t - st.lastEnd))
-				}
-				c.active = append(c.active, int32(idx))
-			}
-			st.lastSeen = t
+			c.start(k, t, first, true)
 		}
 	}
-	// A table grow relocates slots; refresh the active list's indices
-	// before walking it. Order within the list is irrelevant — ends only
-	// feed the weighted distributions and counters.
-	if c.table.rehashed() {
-		c.active = c.active[:0]
-		for i := range c.table.slots {
-			s := &c.table.slots[i]
-			if s.used && s.st.inContact {
-				c.active = append(c.active, int32(i))
+	// Ends: live pairs the walk did not mark. The sweep starts just past
+	// an empty slot, so backward shifts never carry an unvisited entry
+	// behind it.
+	slots := c.live.slots
+	if c.live.n > 0 {
+		mask := len(slots) - 1
+		e := 0
+		for slots[e].key.B != 0 {
+			e++
+		}
+		for step := 0; step < len(slots); {
+			l := &slots[(e+1+step)&mask]
+			switch {
+			case l.key.B == 0:
+				step++
+			case l.seen:
+				l.seen = false
+				step++
+			default:
+				c.end((e + 1 + step) & mask)
 			}
 		}
 	}
-	// Ends: active pairs not stamped this snapshot.
-	for k := 0; k < len(c.active); {
-		st := &c.table.slots[c.active[k]].st
-		if st.seenGen == c.gen {
-			k++
-			continue
+	c.prevT = t
+}
+
+// observeDiff advances the state machine from an incremental build's
+// edge diff: each removed edge ends its pair's contact, each added edge
+// starts one. ids and fsT are aligned with the new graph's vertices.
+//
+//slmob:hotpath
+func (c *contactTracker) observeDiff(ids []trace.AvatarID, fsT []int64, diff graph.EdgeDiff, t int64) {
+	for _, e := range diff.Removed {
+		if l := c.live.find(makePair(trace.AvatarID(e[0]), trace.AvatarID(e[1]))); l >= 0 {
+			c.end(l)
 		}
-		if st.leftCensored {
-			c.cs.Censored++
-		} else {
-			c.cs.CT.Add(float64(st.lastSeen - st.start + c.tau))
+	}
+	for _, e := range diff.Added {
+		i, j := e[0], e[1]
+		c.touch(ids[i], fsT[i], t)
+		c.touch(ids[j], fsT[j], t)
+		c.start(makePair(ids[i], ids[j]), t, false, false)
+	}
+	c.prevT = t
+}
+
+// touch records id's first contact at t, emitting its first-contact
+// wait from its first-seen time fs, unless it has had one before.
+//
+//slmob:hotpath
+func (c *contactTracker) touch(id trace.AvatarID, fs, t int64) {
+	if _, ok := c.firstContact[id]; !ok {
+		c.firstContact[id] = t
+		c.cs.FT.Add(float64(t - fs))
+	}
+}
+
+// start opens a contact for pair k at t, which must not be live.
+//
+//slmob:hotpath
+func (c *contactTracker) start(k pairKey, t int64, first, seen bool) {
+	p, isNew, grew := c.past.lookupOrInsert(k)
+	if grew {
+		c.repoint()
+	}
+	if isNew {
+		c.cs.Pairs++
+	} else if h := &c.past.slots[p]; h.hasPrev {
+		c.cs.ICT.Add(float64(t - h.lastEnd))
+	}
+	c.live.insert(liveEntry{key: k, start: t, past: int32(p), leftCensored: first, seen: seen})
+}
+
+// end closes the contact in live slot l, last seen at prevT.
+//
+//slmob:hotpath
+func (c *contactTracker) end(l int) {
+	e := &c.live.slots[l]
+	if e.leftCensored {
+		c.cs.Censored++
+	} else {
+		c.cs.CT.Add(float64(c.prevT - e.start + c.tau))
+	}
+	h := &c.past.slots[e.past]
+	h.lastEnd = c.prevT
+	h.hasPrev = true
+	c.live.remove(l)
+}
+
+// repoint refreshes every live entry's past-table slot after the past
+// table moved its slots.
+func (c *contactTracker) repoint() {
+	for i := range c.live.slots {
+		if e := &c.live.slots[i]; e.key.B != 0 {
+			e.past = int32(c.past.find(e.key))
 		}
-		st.lastEnd = st.lastSeen
-		st.hasPrev = true
-		st.inContact = false
-		st.leftCensored = false
-		last := len(c.active) - 1
-		c.active[k] = c.active[last]
-		c.active = c.active[:last]
 	}
 }
 
@@ -240,7 +387,7 @@ func (c *contactTracker) observe(ids []trace.AvatarID, fsT []int64, g *graph.Gra
 // emitting both into the currently bound sink (the final window).
 // totalSeen is the number of distinct avatars ever observed.
 func (c *contactTracker) finish(totalSeen int) *ContactSet {
-	c.cs.Censored += len(c.active)
+	c.cs.Censored += c.live.n
 	if n := totalSeen - len(c.firstContact); n > 0 {
 		c.cs.NeverContacted += n
 	}

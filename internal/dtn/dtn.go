@@ -171,7 +171,10 @@ func Replay(tr *trace.Trace, cfg Config) (*Result, error) {
 		return res, nil
 	}
 
-	// Replay snapshot by snapshot.
+	// Replay snapshot by snapshot, building each contact graph in one
+	// reused workspace: its graphs match graph.FromPositions adjacency
+	// for adjacency, in the same order, so the exchanges are unchanged.
+	ws := graph.NewWorkspace()
 	var positions []geom.Vec
 	var ids []trace.AvatarID
 	for _, snap := range tr.Snapshots {
@@ -187,7 +190,7 @@ func Replay(tr *trace.Trace, cfg Config) (*Result, error) {
 		if len(ids) < 2 {
 			continue
 		}
-		g := graph.FromPositions(positions, cfg.Range)
+		g := ws.FromPositions(positions, cfg.Range)
 		for _, m := range msgs {
 			if m.delivered || snap.T < m.createdAt {
 				continue

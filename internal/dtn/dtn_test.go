@@ -198,3 +198,37 @@ func TestReplaySkipsSeated(t *testing.T) {
 		t.Errorf("delivered %d via a seated avatar", res.Delivered)
 	}
 }
+
+// TestReplayPinned pins every protocol's outcome on a fixed trace. The
+// exchanges depend on adjacency order (spray-and-wait hands tokens to
+// neighbours in list order), so this guards the contact-graph builder
+// the replay uses as well as the protocols.
+func TestReplayPinned(t *testing.T) {
+	tr := denseTrace(t, 12)
+	type pin struct {
+		p                 Protocol
+		delivered, copies int
+		delaySum          float64
+	}
+	want := map[float64][]pin{
+		10: {{Epidemic, 53, 1046, 5050}, {SprayAndWait, 50, 310, 5870}, {TwoHop, 51, 706, 5930}, {Direct, 37, 60, 2980}},
+		80: {{Epidemic, 59, 649, 10}, {SprayAndWait, 59, 215, 10}, {TwoHop, 59, 640, 10}, {Direct, 59, 60, 10}},
+	}
+	for _, r := range []float64{10, 80} {
+		res, err := CompareProtocols(tr, r, 60, 13)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, got := range res {
+			w := want[r][i]
+			sum := 0.0
+			for _, d := range got.Delays {
+				sum += d
+			}
+			if got.Protocol != w.p || got.Delivered != w.delivered || got.Copies != w.copies || sum != w.delaySum {
+				t.Errorf("r=%v %v: delivered %d copies %d delay sum %v, want %d %d %v",
+					r, got.Protocol, got.Delivered, got.Copies, sum, w.delivered, w.copies, w.delaySum)
+			}
+		}
+	}
+}

@@ -2,6 +2,7 @@ package geom
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -154,6 +155,115 @@ func TestGridMatchesBruteForceProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
+
+	// Maintained grid: a stream of inserts, moves, and removals whose
+	// points reach past the window (forcing growth mid-stream, with
+	// earlier points moved and removed afterwards), below zero, past the
+	// window cap, and to NaN, ±Inf, and ±1e300, checked against a scan
+	// after every operation.
+	grew := 0
+	churn := func(in input) bool {
+		s := uint64(in.Seed) + 7
+		next := func() float64 {
+			s = s*6364136223846793005 + 1442695040888963407
+			return float64(s>>11) / float64(1<<53)
+		}
+		coord := func() float64 {
+			switch u := next(); {
+			case u < 0.55:
+				return 256 * next()
+			case u < 0.75:
+				return -300 + 600*next()
+			case u < 0.92:
+				return -6000 + 12000*next()
+			case u < 0.95:
+				return -3e7 + 6e7*next()
+			default:
+				return exotic[int(next()*float64(len(exotic)))]
+			}
+		}
+		g := NewGrid(13)
+		pts := map[int64]Vec{}
+		ids := []int64{}
+		area := 0
+		for op := 0; op < 120; op++ {
+			switch u := next(); {
+			case u < 0.5 || len(ids) == 0:
+				id := int64(op)
+				p := V2(coord(), coord())
+				g.Insert(id, p)
+				pts[id] = p
+				ids = append(ids, id)
+			case u < 0.85:
+				id := ids[int(next()*float64(len(ids)))]
+				to := V2(coord(), coord())
+				if !g.Move(id, pts[id], to) {
+					return false
+				}
+				pts[id] = to
+			default:
+				k := int(next() * float64(len(ids)))
+				id := ids[k]
+				if !g.Remove(id, pts[id]) {
+					return false
+				}
+				delete(pts, id)
+				ids = append(ids[:k], ids[k+1:]...)
+			}
+			if a := int(g.w) * int(g.h); a != area {
+				if area != 0 {
+					grew++
+				}
+				area = a
+			}
+			if g.Len() != len(pts) {
+				return false
+			}
+			c := V2(coord(), coord())
+			r := 40 * next()
+			if next() < 0.1 {
+				r = exotic[int(next()*float64(len(exotic)))]
+			}
+			if !slices.Equal(sortedWithin(g, c, r), bruteWithin(pts, c, r)) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(churn, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+	if grew == 0 {
+		t.Fatal("no window growth happened mid-stream")
+	}
+}
+
+// exotic lists the coordinates and radii no land produces: non-finite
+// and astronomically far values, which must still query exactly.
+var exotic = []float64{math.NaN(), math.Inf(1), math.Inf(-1), 1e300, -1e300}
+
+// sortedWithin returns the grid's answer to a range query, sorted.
+func sortedWithin(g *Grid, c Vec, r float64) []int64 {
+	got := g.Within(c, r)
+	slices.Sort(got)
+	return got
+}
+
+// bruteWithin answers a range query by scanning every point with the
+// grid's own distance test.
+func bruteWithin(pts map[int64]Vec, c Vec, r float64) []int64 {
+	var want []int64
+	if !(r >= 0) {
+		return nil
+	}
+	for id, p := range pts {
+		dx, dy := p.X-c.X, p.Y-c.Y
+		if dx*dx+dy*dy <= r*r {
+			want = append(want, id)
+		}
+	}
+	slices.Sort(want)
+	return want
 }
 
 // TestGridZeroAllocSteadyState pins the //slmob:hotpath contract on the
@@ -231,6 +341,63 @@ func TestGridRemoveAndMove(t *testing.T) {
 	}
 	if got := g.Len(); got != 2 {
 		t.Fatalf("Len = %d after moves, want 2", got)
+	}
+
+	// Growth: a point far outside the window re-homes every stored
+	// point; those stored before it must still move and remove by their
+	// stored positions.
+	w0, h0 := g.w, g.h
+	g.Insert(4, V2(-900, 1500))
+	if g.w == w0 && g.h == h0 {
+		t.Fatal("a far insert did not grow the window")
+	}
+	if !g.Move(1, V2(8, 8), V2(-880, 1490)) {
+		t.Fatal("Move of a point stored before the growth failed")
+	}
+	if got := sortedWithin(g, V2(-890, 1495), 30); !slices.Equal(got, []int64{1, 4}) {
+		t.Fatalf("after growth Within = %v, want [1 4]", got)
+	}
+	if !g.Remove(3, V2(100, 5)) {
+		t.Fatal("Remove of a point stored before the growth failed")
+	}
+
+	// Points the window cannot reach, or that have no cell at all, clamp
+	// into edge cells; they still remove, move, and query exactly.
+	odd := []Vec{
+		V2(math.NaN(), 5), V2(5, math.NaN()), V2(math.Inf(1), 0), V2(math.Inf(-1), math.Inf(1)),
+		V2(1e300, -1e300), V2(-4e8, 3e8),
+	}
+	for i, p := range odd {
+		g.Insert(int64(10+i), p)
+	}
+	if got := g.Len(); got != 2+len(odd) {
+		t.Fatalf("Len = %d with the odd points in, want %d", got, 2+len(odd))
+	}
+	if got := sortedWithin(g, V2(-4e8+1, 3e8), 2); !slices.Equal(got, []int64{15}) {
+		t.Fatalf("query at a clamped point = %v, want [15]", got)
+	}
+	if got := sortedWithin(g, V2(0, 0), math.Inf(1)); !slices.Equal(got, []int64{1, 4, 12, 13, 14, 15}) {
+		t.Fatalf("infinite-radius query = %v, want every non-NaN point", got)
+	}
+	for i, p := range odd {
+		if !g.Move(int64(10+i), p, V2(float64(i), 0)) {
+			t.Fatalf("Move of odd point %v failed", p)
+		}
+	}
+	if got := sortedWithin(g, V2(0, 0), 10); !slices.Equal(got, []int64{10, 11, 12, 13, 14, 15}) {
+		t.Fatalf("odd points moved home: Within = %v", got)
+	}
+	for i := range odd {
+		if !g.Remove(int64(10+i), V2(float64(i), 0)) {
+			t.Fatalf("Remove of moved odd point %d failed", i)
+		}
+	}
+	g.Insert(20, V2(math.NaN(), math.NaN()))
+	if !g.Remove(20, V2(math.NaN(), math.NaN())) {
+		t.Fatal("Remove of a NaN point at its stored position failed")
+	}
+	if got := g.Len(); got != 2 {
+		t.Fatalf("Len = %d at the end, want 2", got)
 	}
 }
 

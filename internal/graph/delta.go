@@ -86,6 +86,18 @@ type deltaState struct {
 	slotOf []int32 // current index -> slot
 	idxOf  []int32 // slot -> current index
 
+	// Edge diff of the latest call against the previous build, valid
+	// when diffOK (incremental calls only). oldNbr/oldOff hold each dirty
+	// slot's neighbours from before the patch; mark is a slot-indexed
+	// stamp table for the old-vs-new set comparisons.
+	diffOK  bool
+	removed [][2]uint64
+	added   [][2]int32
+	oldNbr  []int32
+	oldOff  []int32
+	mark    []int64
+	stamp   int64
+
 	// Per-call scratch.
 	dirty    []int32 // slots whose edges must be recomputed
 	departed []int32
@@ -116,6 +128,7 @@ func (ws *Workspace) ApplyPositions(ids []uint64, ps []geom.Vec, r float64) *Gra
 	ws.stats.Snapshots++
 	ws.rowsOK = false
 	d := &ws.d
+	d.diffOK = false
 	if r <= 0 {
 		// Degenerate range: no edges ever; the scratch builder handles it
 		// (and invalidates the delta state).
@@ -172,8 +185,15 @@ func (ws *Workspace) ApplyPositions(ids []uint64, ps []geom.Vec, r float64) *Gra
 	}
 	ws.stats.Incremental++
 
-	// Departures: detach, drop from the grid, recycle the slot.
+	// Departures: report their edges as removed, detach, drop from the
+	// grid, recycle the slot. A departed-departed edge is reported once:
+	// the first detach takes it off the other's list.
+	d.removed = d.removed[:0]
+	d.added = d.added[:0]
 	for _, s := range d.departed {
+		for _, o := range d.nbr[s] {
+			d.removed = append(d.removed, [2]uint64{d.id[s], d.id[o]})
+		}
 		ws.detachSlot(s)
 		d.grid.Remove(int64(s), d.pos[s])
 		delete(d.idOf, d.id[s])
@@ -204,16 +224,24 @@ func (ws *Workspace) ApplyPositions(ids []uint64, ps []geom.Vec, r float64) *Gra
 		d.live = append(d.live, d.slotOf[i])
 	}
 
-	// Edge patch. First detach every dirty slot (so re-adds cannot
-	// duplicate), then re-derive each dirty slot's neighbourhood from the
-	// patched grid. A dirty-dirty pair is emitted once, from the
-	// lower-numbered slot.
+	// Edge patch. Record every dirty slot's old neighbours, then detach
+	// every dirty slot (so re-adds cannot duplicate), then re-derive each
+	// dirty slot's neighbourhood from the patched grid. A dirty-dirty
+	// pair is emitted once, from the lower-numbered slot.
+	d.oldNbr = d.oldNbr[:0]
+	d.oldOff = d.oldOff[:0]
+	for _, s := range d.dirty {
+		d.oldOff = append(d.oldOff, int32(len(d.oldNbr)))
+		d.oldNbr = append(d.oldNbr, d.nbr[s]...)
+	}
+	d.oldOff = append(d.oldOff, int32(len(d.oldNbr)))
 	for _, s := range d.dirty {
 		ws.detachSlot(s)
 	}
 	for _, s := range d.dirty {
 		ws.relinkSlot(s, r)
 	}
+	ws.diffDirty()
 
 	// Translate the slot-space adjacency into the index-space CSR arena.
 	if cap(ws.adj) < n {
@@ -322,6 +350,7 @@ func (d *deltaState) ensureSlots(n int) {
 		d.nbr = append(d.nbr, nil)
 		d.seen = append(d.seen, 0)
 		d.dirtG = append(d.dirtG, 0)
+		d.mark = append(d.mark, 0)
 		d.idxOf = append(d.idxOf, -1)
 	}
 }
@@ -389,4 +418,38 @@ func (ws *Workspace) relinkSlot(s int32, r float64) {
 		ws.stats.EdgesAdded++
 		return true
 	})
+}
+
+// diffDirty completes the edge diff from the dirty slots: the old
+// neighbours each one lost are removed edges, the new neighbours it
+// gained are added edges; a neighbour it kept is no change, although the
+// patch detached and relinked it. A dirty-dirty pair is reported from
+// its lower-numbered slot only.
+//
+//slmob:hotpath
+func (ws *Workspace) diffDirty() {
+	d := &ws.d
+	for k, s := range d.dirty {
+		old := d.oldNbr[d.oldOff[k]:d.oldOff[k+1]]
+		cur := d.nbr[s]
+		d.stamp++
+		for _, o := range cur {
+			d.mark[o] = d.stamp
+		}
+		for _, o := range old {
+			if d.mark[o] != d.stamp && (d.dirtG[o] != d.epoch || o > s) {
+				d.removed = append(d.removed, [2]uint64{d.id[s], d.id[o]})
+			}
+		}
+		d.stamp++
+		for _, o := range old {
+			d.mark[o] = d.stamp
+		}
+		for _, o := range cur {
+			if d.mark[o] != d.stamp && (d.dirtG[o] != d.epoch || o > s) {
+				d.added = append(d.added, [2]int32{d.idxOf[s], d.idxOf[o]})
+			}
+		}
+	}
+	d.diffOK = true
 }

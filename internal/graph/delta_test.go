@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"maps"
 	"slices"
 	"testing"
 
@@ -89,6 +90,47 @@ func edgeSet(g *Graph) []uint64 {
 	return es
 }
 
+// idEdges returns the graph's edges as (min,max) avatar-id pairs.
+func idEdges(g *Graph, ids []uint64) map[[2]uint64]bool {
+	es := make(map[[2]uint64]bool)
+	for u := 0; u < g.N(); u++ {
+		for _, v := range g.Neighbors(u) {
+			if int(v) > u {
+				es[idPair(ids[u], ids[v])] = true
+			}
+		}
+	}
+	return es
+}
+
+func idPair(a, b uint64) [2]uint64 {
+	if a > b {
+		a, b = b, a
+	}
+	return [2]uint64{a, b}
+}
+
+// applyEdgeDiff folds an edge diff into a running edge set, failing on a
+// removal of an absent edge or an addition of a present one — so each
+// changed edge must be reported exactly once.
+func applyEdgeDiff(t *testing.T, step int, es map[[2]uint64]bool, diff EdgeDiff, ids []uint64) {
+	t.Helper()
+	for _, e := range diff.Removed {
+		k := idPair(e[0], e[1])
+		if !es[k] {
+			t.Fatalf("step %d: diff removes absent edge %v", step, k)
+		}
+		delete(es, k)
+	}
+	for _, e := range diff.Added {
+		k := idPair(ids[e[0]], ids[e[1]])
+		if es[k] {
+			t.Fatalf("step %d: diff adds present edge %v", step, k)
+		}
+		es[k] = true
+	}
+}
+
 // checkParity asserts that the delta workspace's current graph and
 // metrics are bit-identical to a scratch build over the same snapshot,
 // and that both workspaces' metric kernels match the Graph references.
@@ -127,6 +169,9 @@ func checkParity(t *testing.T, step int, ws *Workspace, ps []geom.Vec, r float64
 // build must match a scratch build bit-for-bit at every step — edges,
 // degrees, diameter, clustering — across churn regimes and fallback
 // thresholds (always-incremental, default, twitchy, always-rebuild).
+// An edge set kept only by applying each call's edge diff must equal the
+// returned graph's, and the diff must be missing exactly on the calls
+// that rebuilt from scratch.
 func TestApplyPositionsDifferential(t *testing.T) {
 	regimes := []struct {
 		name                          string
@@ -148,15 +193,40 @@ func TestApplyPositionsDifferential(t *testing.T) {
 				ws := NewWorkspace()
 				ws.SetChurnThreshold(thresh)
 				minN, maxN := len(sim.ids), len(sim.ids)
+				var edges map[[2]uint64]bool
+				diffs := 0
 				for step := 0; step < 120; step++ {
 					sim.step(reg.logout, reg.login, reg.teleport, reg.walk)
 					minN, maxN = min(minN, len(sim.ids)), max(maxN, len(sim.ids))
-					ws.ApplyPositions(sim.ids, sim.pos, r)
+					rebuilds := ws.Stats().FullRebuilds
+					g := ws.ApplyPositions(sim.ids, sim.pos, r)
+					rebuilt := ws.Stats().FullRebuilds != rebuilds
+					diff, ok := ws.EdgeDiff()
+					if ok == rebuilt {
+						t.Fatalf("%s thresh=%v r=%v step %d: diff available=%v on a call with rebuilt=%v",
+							reg.name, thresh, r, step, ok, rebuilt)
+					}
+					if ok {
+						diffs++
+						applyEdgeDiff(t, step, edges, diff, sim.ids)
+						if want := idEdges(g, sim.ids); !maps.Equal(edges, want) {
+							t.Fatalf("%s thresh=%v r=%v step %d: diff-kept edge set has %d edges, graph has %d",
+								reg.name, thresh, r, step, len(edges), len(want))
+						}
+					} else {
+						edges = idEdges(g, sim.ids)
+					}
 					checkParity(t, step, ws, sim.pos, r)
 					// A scratch build mid-stream must invalidate cleanly.
 					if step == 60 {
 						ws.FromPositions(sim.pos, r)
+						if _, ok := ws.EdgeDiff(); ok {
+							t.Fatal("FromPositions left an edge diff behind")
+						}
 					}
+				}
+				if int64(diffs) != ws.Stats().Incremental {
+					t.Fatalf("%d diffs for %d incremental calls", diffs, ws.Stats().Incremental)
 				}
 				if reg.name == "filling" && (minN > 64 || maxN <= 64) {
 					t.Fatalf("filling r=%v: population spanned %d..%d, want it to cross 64", r, minN, maxN)
@@ -275,7 +345,8 @@ func deltaAllocFrames(n, frames int) (ids []uint64, frame [][]geom.Vec) {
 
 // TestApplyPositionsZeroAllocSteadyState pins the tentpole contract on
 // the delta path: once warmed, an incremental snapshot — diff, grid
-// moves, edge patch, diameter, clustering — allocates nothing.
+// moves, edge patch, edge diff, diameter, clustering — allocates
+// nothing.
 func TestApplyPositionsZeroAllocSteadyState(t *testing.T) {
 	ws := NewWorkspace()
 	ids, frames := deltaAllocFrames(120, 8)
@@ -286,15 +357,20 @@ func TestApplyPositionsZeroAllocSteadyState(t *testing.T) {
 			ws.MeanClustering()
 		}
 	}
-	f := 0
+	f, changed := 0, 0
 	avg := testing.AllocsPerRun(100, func() {
 		ws.ApplyPositions(ids, frames[f%len(frames)], 10)
+		diff, _ := ws.EdgeDiff()
+		changed += len(diff.Removed) + len(diff.Added)
 		_ = ws.Diameter()
 		_ = ws.MeanClustering()
 		f++
 	})
 	if avg != 0 {
 		t.Errorf("steady-state ApplyPositions allocates %v per snapshot, want 0", avg)
+	}
+	if changed == 0 {
+		t.Fatal("pin never produced a non-empty edge diff")
 	}
 	st := ws.Stats()
 	if st.Incremental == 0 || st.FullRebuilds != 1 {

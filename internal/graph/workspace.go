@@ -84,6 +84,7 @@ func growInt32(buf []int32, n int) []int32 {
 //slmob:hotpath
 func (ws *Workspace) FromPositions(ps []geom.Vec, r float64) *Graph {
 	ws.d.ok = false
+	ws.d.diffOK = false
 	ws.rowsOK = false
 	n := len(ps)
 	if cap(ws.adj) < n {
@@ -275,6 +276,29 @@ func (ws *Workspace) Diameter() int {
 		}
 	}
 	return diam
+}
+
+// EdgeDiff is how the edge set of an incremental ApplyPositions differs
+// from the build before it. Removed edges are reported by avatar id,
+// since a departed avatar has no vertex in the new graph; added edges are
+// reported by vertex index in the new graph. Each changed edge appears
+// once, in either orientation.
+type EdgeDiff struct {
+	Removed [][2]uint64
+	Added   [][2]int32
+}
+
+// EdgeDiff returns the edge diff of the latest build call and reports
+// whether there is one. Only an incremental ApplyPositions has a diff; a
+// full rebuild — the first call, a range change, the churn fallback, the
+// call after a FromPositions — reports none, and neither does
+// FromPositions. The slices alias workspace storage and are invalidated
+// by the next build call.
+func (ws *Workspace) EdgeDiff() (EdgeDiff, bool) {
+	if !ws.d.diffOK {
+		return EdgeDiff{}, false
+	}
+	return EdgeDiff{Removed: ws.d.removed, Added: ws.d.added}, true
 }
 
 // Graph returns the workspace's current graph — the value the latest

@@ -143,18 +143,24 @@ func (c *Client) Err() error {
 	}
 }
 
+// fail records the terminal error, closes done and tears the connection
+// down, which also ends the read loop. It may run on any goroutine, so it
+// leaves the data channels alone: only the read loop sends on them, and
+// only the read loop closes them, on its way out.
 func (c *Client) fail(err error) {
 	c.errOnce.Do(func() {
 		c.err = err
 		close(c.done)
-		close(c.maps)
-		close(c.fullMaps)
-		close(c.chats)
 		c.conn.Close()
 	})
 }
 
 func (c *Client) readLoop() {
+	defer func() {
+		close(c.maps)
+		close(c.fullMaps)
+		close(c.chats)
+	}()
 	for {
 		// The loop is the reader goroutine, so the before/after byte
 		// counts bracket exactly this message's frame.
